@@ -17,22 +17,25 @@ from .features import get_filter
 from .regularizer import build_hessian, h_value
 from .simplex_qp import QpProblem, solve_qp
 from .spectral import conv_spectrum
-from .tensorops import (as_image, conv2d_full, devectorize, toeplitz,
-                        toeplitz_apply_adjoint, toeplitz_gram, vectorize)
-from .tv import TvResult, TvSolverConfig, total_variation, tv_deconv
+from .tensorops import (as_image, central_window, conv2d_full, devectorize,
+                        toeplitz, toeplitz_apply_adjoint, toeplitz_gram,
+                        vectorize)
+from .tv import TvSolverConfig, total_variation, tv_deconv
 
 OBJECTIVE_SLACK = 1e-6
-# ADMM iterations per full-convolution image step. The solver state carries
-# over between outer iterations, so the alternation interleaves one ADMM run
-# with exact kernel steps; a fixed count keeps that map the same at every
-# outer iteration (an inner stop at a tolerance lets the objective jitter
-# upward near the fixed point).
+# ADMM iterations per image step. The solver state carries over between
+# outer iterations, so the alternation interleaves one ADMM run with exact
+# kernel steps; a fixed count keeps that map the same at every outer
+# iteration (an inner stop at a tolerance lets the objective jitter upward
+# near the fixed point).
 IMAGE_STEP_ITERS = 20
 # TV weight continuation of the full-convolution image step: outer iteration
 # t uses lam * max(1, LAM_START * LAM_DECAY**(t - 1)), reaching lam at t = 6.
 # The first kernels are poor, and the exact TV minimizer at a small lam fits
 # their misfit with ringing that the next kernel step then fits in turn; a
-# heavier TV weight keeps those first images piecewise smooth.
+# heavier TV weight keeps those first images piecewise smooth. Cropped
+# observations use lam throughout: there the heavier start keeps kernels
+# below the no-blur threshold in alpha away from the impulse.
 LAM_START = 30.0
 LAM_DECAY = 0.5
 
@@ -54,7 +57,6 @@ class DeblurConfig:
     qp_max_iter: int = 10000
     spectrum_method: str = "svd"
     assume_full: bool = True    # False: B is a same-size (cropped) observation
-    tv: TvSolverConfig = None
 
     def __post_init__(self):
         if self.m1 < 1 or self.m2 < 1:
@@ -65,16 +67,6 @@ class DeblurConfig:
             self.s1 = math.ceil(1.5 * self.m1)
         if self.s2 is None:
             self.s2 = math.ceil(1.5 * self.m2)
-        default_tv = TvSolverConfig(lam=self.lam)
-        if self.tv is None:
-            self.tv = default_tv
-        else:
-            self.tv.lam = self.lam
-            if self.assume_full and self.tv != default_tv:
-                raise ValueError(
-                    "tv solver settings apply to cropped observations only; "
-                    "the full-convolution image step runs a fixed "
-                    f"{IMAGE_STEP_ITERS} ADMM iterations per outer iteration")
 
     def filter(self):
         return get_filter(self.feature, self.log_sigma)
@@ -87,12 +79,6 @@ class DeblurResult:
     trace: list             # accepted objective values, one per outer iteration
     iterations: int
     converged: bool
-
-
-def _crop_slices(full_shape, out_shape):
-    o1 = (full_shape[0] - out_shape[0]) // 2
-    o2 = (full_shape[1] - out_shape[1]) // 2
-    return slice(o1, o1 + out_shape[0]), slice(o2, o2 + out_shape[1])
 
 
 def kstep(b, img, hess, alpha, tol=1e-8, max_iter=10000, x0=None, crop=False):
@@ -111,7 +97,7 @@ def kstep(b, img, hess, alpha, tol=1e-8, max_iter=10000, x0=None, crop=False):
         if b.shape != img.shape:
             raise ValueError("cropped mode requires B and I of equal shape")
         full = (img.shape[0] + m1 - 1, img.shape[1] + m2 - 1)
-        s1, s2 = _crop_slices(full, b.shape)
+        s1, s2 = central_window(full, b.shape)
         a = toeplitz(img, m1, m2).reshape(full[0], full[1], m1 * m2)
         a = a[s1, s2].reshape(b.size, m1 * m2)
         q = a.T @ a
@@ -137,7 +123,7 @@ def estimate_kernel(spec, m1, m2, tol=1e-8, max_iter=10000):
 def blind_objective(b, img, k, lam, alpha, hess, crop=False):
     pred = conv2d_full(img, k)
     if crop:
-        s1, s2 = _crop_slices(pred.shape, b.shape)
+        s1, s2 = central_window(pred.shape, b.shape)
         pred = pred[s1, s2]
     resid = b - pred
     return float(np.sum(resid * resid)) + lam * total_variation(img) \
@@ -153,24 +139,21 @@ def blind_deblur(b, cfg, spectrum=None, hessian=None):
     whose objective rises above the previous one ends the run unconverged,
     with the previous iterate. The trace holds blind_objective at cfg.lam.
 
-    With full-convolution data each image step takes IMAGE_STEP_ITERS ADMM
-    iterations on the image part of blind_objective, resuming from the
-    previous step's solver state. Its TV weight starts at LAM_START * lam
-    and falls by the factor LAM_DECAY each outer iteration down to lam; the
-    run can only stop as converged once the weight is lam. cfg.tv configures
-    the cropped model's solver only.
+    Each image step takes IMAGE_STEP_ITERS ADMM iterations on the image
+    part of blind_objective, resuming from the previous step's solver state.
+    With full-convolution data its TV weight starts at LAM_START * lam and
+    falls by the factor LAM_DECAY each outer iteration down to lam; the run
+    can only stop as converged once the weight is lam.
     """
     b = as_image(b)
     crop = not cfg.assume_full
     if crop:
-        img = b.copy()
+        shape = b.shape
     else:
-        n1 = b.shape[0] - cfg.m1 + 1
-        n2 = b.shape[1] - cfg.m2 + 1
-        if n1 < 1 or n2 < 1:
+        shape = (b.shape[0] - cfg.m1 + 1, b.shape[1] - cfg.m2 + 1)
+        if shape[0] < 1 or shape[1] < 1:
             raise ValueError("image smaller than the kernel")
-        o1, o2 = (b.shape[0] - n1) // 2, (b.shape[1] - n2) // 2
-        img = b[o1:o1 + n1, o2:o2 + n2].copy()
+    img = b[central_window(b.shape, shape)].copy()
     if spectrum is None:
         spectrum = conv_spectrum(b, cfg.filter(), cfg.s1, cfg.s2,
                                  method=cfg.spectrum_method)
@@ -180,39 +163,18 @@ def blind_deblur(b, cfg, spectrum=None, hessian=None):
     prev_obj = None
     converged = False
     it = 0
-    if crop:
-        tv_cfg = copy.deepcopy(cfg.tv)
-    else:
-        tv_cfg = TvSolverConfig(lam=cfg.lam, max_inner=IMAGE_STEP_ITERS, tol=0.0)
-    k_change = None
     state = None
     lam_factor = 1.0
     for it in range(1, cfg.max_outer + 1):
         k_new, _ = kstep(b, img, hess, cfg.alpha, tol=cfg.qp_tol,
                          max_iter=cfg.qp_max_iter, x0=vectorize(k), crop=crop)
-        if crop:
-            # solve the image step tighter as the kernel settles, so inexact
-            # inner solves do not stall the outer fixed point above k_tol
-            if k_change is not None:
-                tv_cfg.tol = min(cfg.tv.tol, max(0.02 * k_change, 1e-9))
-                # once the kernel has stabilized, stop restarting the beta
-                # continuation: take single image-update steps at the final
-                # beta so the outer loop becomes the fixed-point iteration
-                # whose stall the convergence test measures, instead of
-                # re-perturbing the image with a fresh continuation sweep
-                # every outer iteration
-                if k_change < 100.0 * cfg.k_tol:
-                    tv_cfg.betas = [cfg.tv.betas[-1]]
-                    tv_cfg.max_inner = 1
-                else:
-                    tv_cfg.betas = list(cfg.tv.betas)
-                    tv_cfg.max_inner = cfg.tv.max_inner
-            res = tv_deconv(b, k_new, tv_cfg, assume_full=False, x0=img)
-        else:
+        if not crop:
             lam_factor = max(1.0, LAM_START * LAM_DECAY ** (it - 1))
-            tv_cfg.lam = cfg.lam * lam_factor
-            # the first call starts from the central crop that img holds
-            res = tv_deconv(b, k_new, tv_cfg, state=state)
+        tv_cfg = TvSolverConfig(lam=cfg.lam * lam_factor,
+                                max_inner=IMAGE_STEP_ITERS, tol=0.0)
+        # the first call starts from the central window that img holds
+        res = tv_deconv(b, k_new, tv_cfg, assume_full=cfg.assume_full,
+                        state=state)
         img_new = res.image
         obj = blind_objective(b, img_new, k_new, cfg.lam, cfg.alpha, hess,
                               crop=crop)

@@ -18,7 +18,7 @@ from . import blind, imgio, metrics, synth
 from .features import get_filter
 from .regularizer import build_hessian
 from .spectral import conv_spectrum
-from .tensorops import conv2d_full
+from .tensorops import central_window
 from .tv import TvSolverConfig, tv_deconv
 
 EXIT_VALIDATION = 2
@@ -326,17 +326,21 @@ def eval_cmd(ctx, case_dir, kernel_size, feature, log_sigma, lam, out, **_):
         spec_i = conv_spectrum(sharp, f, s, s)
         k_est, _, _ = blind.estimate_kernel(spec_b, m, m)
         restored = tv_deconv(b, k_est, TvSolverConfig(lam=p["lam"])).image
-        n1, n2 = sharp.shape
-        o1 = (b.shape[0] - n1) // 2
-        o2 = (b.shape[1] - n2) // 2
+        # an estimation size other than the true one restores an image of
+        # another size: score all three on their common central window
+        common = np.minimum(restored.shape, sharp.shape)
+
+        def window(x):
+            return x[central_window(x.shape, common)]
+
         report = metrics.MetricsReport(
             kernel_error=synth.kernel_error(k_est, k_true),
             noiseless_bound=metrics.noiseless_error_bound(
                 spec_b.sigma_max, spec_i.sigma_min),
             noisy_bound=metrics.noisy_error_bound(
                 spec_b.sigma_max, spec_b.sigma_min, spec_i.sigma_min, s, s, 0.0),
-            psnr_blurry=metrics.psnr(b[o1:o1 + n1, o2:o2 + n2], sharp),
-            psnr_restored=metrics.psnr(restored, sharp),
+            psnr_blurry=metrics.psnr(window(b), window(sharp)),
+            psnr_restored=metrics.psnr(window(restored), window(sharp)),
             sigma_ratio=spec_b.sigma_max / spec_i.sigma_min,
             runtime_seconds=time.perf_counter() - t0,
         )

@@ -29,6 +29,13 @@ def validate_kernel(k, tol=1e-9):
     return k
 
 
+def central_window(full_shape, out_shape):
+    """Slices of the central out_shape window of an array of full_shape."""
+    o1 = (full_shape[0] - out_shape[0]) // 2
+    o2 = (full_shape[1] - out_shape[1]) // 2
+    return slice(o1, o1 + out_shape[0]), slice(o2, o2 + out_shape[1])
+
+
 def conv2d_full(x, y):
     """Full 2D convolution: output (l1+k1-1) x (l2+k2-1), zero boundary."""
     x = as_image(x)

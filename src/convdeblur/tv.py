@@ -1,48 +1,38 @@
 """Non-blind TV-regularized deconvolution.
 
-Minimizes ||B - I (x) K||_F^2 + lam * total_variation(I), the anisotropic TV
-being the l1 norm of I's periodic forward differences.
+Minimizes ||B - W(I (x) K)||_F^2 + lam * total_variation(I), the anisotropic
+TV being the l1 norm of I's periodic forward differences, where W keeps the
+observed window of the full convolution: all of it for full-convolution data
+(B.shape == I.shape + K.shape - 1), its central I.shape window for a cropped
+observation (B.shape == I.shape).
 
-Full-convolution data (B.shape == I.shape + K.shape - 1) is solved by ADMM
-on exactly this objective. The latent is zero-embedded in B's grid, where the
-periodic convolution equals the full one, while TV stays on I's own grid;
-every subproblem is then diagonal in the FFT or pointwise (the splitting of
-Almeida & Figueiredo, IEEE TIP 2013, without a boundary mask). The split and
-dual variables are returned so that a caller can resume the iteration.
-
-A cropped observation (B the central window of the convolution, of I's size)
-is solved by half-quadratic splitting with a beta continuation, whose
-quadratic subproblems are solved by conjugate gradients on the exact
-crop-of-convolution operator.
+Both data models are solved by one ADMM on exactly this objective (Almeida &
+Figueiredo, "Deconvolving images with unknown boundaries using ADMM", IEEE
+TIP 2013). The latent is zero-embedded in the full-convolution grid, where
+the periodic convolution equals the full one, and the observation becomes a
+0/1 mask on that grid; TV stays on I's own grid. Every subproblem is then
+diagonal in the FFT or pointwise. The split and dual variables are returned
+so that a caller can resume the iteration.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage, signal
+from scipy import fft as sfft
 
-from .tensorops import as_image, validate_kernel
+from .tensorops import as_image, central_window, validate_kernel
 
-# ADMM penalty of both splits (data and gradient) in the full-convolution solver
+# ADMM penalty of the y = pad(I) and g = grad(I) splits
 ADMM_PENALTY = 0.1
-
-
-def default_beta_schedule(beta_max=256.0):
-    """Geometric continuation 1, 2*sqrt(2), 8, ... capped at beta_max."""
-    betas = []
-    b = 1.0
-    while b <= beta_max:
-        betas.append(b)
-        b *= 2.0 * np.sqrt(2.0)
-    return betas
+# ADMM penalty of the data split v = K*y
+DATA_PENALTY = 1.0
 
 
 @dataclass
 class TvSolverConfig:
-    """lam weighs TV; betas is the penalty continuation of the cropped-model
-    solver; max_inner caps the iterations and tol is the stopping test."""
+    """lam weighs TV; max_inner caps the iterations and tol is the stopping
+    test."""
     lam: float = 0.0015
-    betas: list = field(default_factory=default_beta_schedule)
     max_inner: int = 100
     tol: float = 1e-5
 
@@ -51,15 +41,16 @@ class TvSolverConfig:
             raise ValueError("lam must be nonnegative")
         if self.max_inner < 1:
             raise ValueError("max_inner must be >= 1")
-        if any(b2 <= b1 for b1, b2 in zip(self.betas, self.betas[1:])):
-            raise ValueError("beta schedule must be strictly increasing")
 
 
 @dataclass(frozen=True)
 class AdmmState:
-    """Split and scaled dual variables of the full-convolution solver."""
-    data: np.ndarray        # y = pad(I) on the full-convolution grid
+    """Split and scaled dual variables of the solver. All but the gradient
+    pair live on the full-convolution grid."""
+    pad: np.ndarray         # y = pad(I)
+    blur: np.ndarray        # K*y, which the data split v tracks
     grad: np.ndarray        # g = grad(I), shape (2, n1, n2)
+    pad_dual: np.ndarray
     data_dual: np.ndarray
     grad_dual: np.ndarray
 
@@ -69,7 +60,7 @@ class TvResult:
     image: np.ndarray
     iterations: int
     converged: bool
-    state: AdmmState = None   # full-convolution solver only
+    state: AdmmState = None   # None for the lam = 0 inverse filter
 
 
 def total_variation(img):
@@ -88,203 +79,115 @@ def _grad_adjoint(g):
 
 
 def soft_threshold(x, thr):
-    return np.sign(x) * np.maximum(np.abs(x) - thr, 0.0)
+    return x - np.clip(x, -thr, thr)
 
 
 def _otf(psf, shape):
     """Real FFT of a filter embedded at the top-left of the given grid."""
     pad = np.zeros(shape)
     pad[:psf.shape[0], :psf.shape[1]] = psf
-    return np.fft.rfft2(pad)
-
-
-def edge_taper(img, k):
-    """Blend image borders toward their blurred version over a kernel-radius
-    band, so periodic wrap-around is smooth."""
-    img = as_image(img)
-    r1 = max(1, (k.shape[0] - 1) // 2)
-    r2 = max(1, (k.shape[1] - 1) // 2)
-    blurred = ndimage.convolve(img, k, mode="wrap")
-
-    def ramp(n, r):
-        w = np.ones(n)
-        r = min(r, n // 2)
-        if r > 0:
-            t = (1.0 - np.cos(np.pi * (np.arange(r) + 0.5) / r)) / 2.0
-            w[:r] = t
-            w[n - r:] = t[::-1]
-        return w
-
-    w = np.outer(ramp(img.shape[0], r1), ramp(img.shape[1], r2))
-    return w * img + (1.0 - w) * blurred
+    return sfft.rfft2(pad)
 
 
 def tv_deconv(b, k, cfg=None, assume_full=True, x0=None, state=None):
     """Restore the latent image given the blur kernel.
 
     With assume_full=True, b is the full-convolution output and the latent
-    image has shape b.shape - k.shape + 1. The image is found by ADMM on the
-    objective ||b - I (x) K||_F^2 + lam * total_variation(I) itself. It
+    image has shape b.shape - k.shape + 1. With assume_full=False, b is the
+    central window of the convolution and the latent keeps b's size.
+
+    The image is found by ADMM on the objective of the module docstring. It
     stops as converged once the relative image change and the relative
     primal residual both fall below cfg.tol. The result carries the solver's
     split and dual variables; passing them back as `state` resumes the
-    iteration where it stopped. x0 (a latent-size image) and `state` are
-    two ways to warm-start and may not be given together.
-
-    With assume_full=False, b is a cropped observation (the central window
-    of the convolution) and the restored image keeps b's size (odd kernel
-    sizes assumed for centering); it is found by half-quadratic splitting
-    with conjugate-gradient solves on the exact crop operator.
+    iteration where it stopped. x0 (a latent-size image) and `state` are two
+    ways to warm-start and may not be given together; with neither, the
+    iteration starts from b's central window at the latent size. With
+    lam = 0 and full-convolution data the minimizer is the inverse filter,
+    returned directly.
     """
     b = as_image(b)
     k = validate_kernel(k)
     cfg = cfg or TvSolverConfig()
     if x0 is not None and state is not None:
         raise ValueError("give a warm start as x0 or as state, not both")
-    if not assume_full:
-        if state is not None:
-            raise ValueError("solver state applies to full-convolution data only")
-        return _tv_deconv_cropped(b, k, cfg, x0)
-    n1 = b.shape[0] - k.shape[0] + 1
-    n2 = b.shape[1] - k.shape[1] + 1
-    if n1 < 1 or n2 < 1:
-        raise ValueError("observed image smaller than the kernel")
-    fk = _otf(k, b.shape)
-    data_num = np.conj(fk) * np.fft.rfft2(b)
-    data_den = np.abs(fk) ** 2
+    m1, m2 = k.shape
+    if assume_full:
+        grid = b.shape
+        shape = (b.shape[0] - m1 + 1, b.shape[1] - m2 + 1)
+        if shape[0] < 1 or shape[1] < 1:
+            raise ValueError("observed image smaller than the kernel")
+    else:
+        grid = (b.shape[0] + m1 - 1, b.shape[1] + m2 - 1)
+        shape = b.shape
+    n1, n2 = shape
+    fk = _otf(k, grid)
 
-    if cfg.lam == 0.0:
+    if cfg.lam == 0.0 and assume_full:
         # no regularizer: the minimizer is the inverse filter (exact for
         # consistent full-convolution data)
-        img = np.fft.irfft2(data_num / np.maximum(data_den, 1e-30), s=b.shape)
+        img = sfft.irfft2(np.conj(fk) * sfft.rfft2(b)
+                          / np.maximum(np.abs(fk) ** 2, 1e-30), s=grid)
         return TvResult(img[:n1, :n2].copy(), 1, True)
-    return _tv_deconv_full(b, cfg, (n1, n2), data_num, data_den, x0, state)
 
-
-def _tv_deconv_full(b, cfg, shape, data_num, data_den, x0, state):
-    """ADMM for the full-convolution model with the latent zero-embedded.
-
-    Splits: y = pad(I) on the full grid carries the data term, which is
-    then an exact periodic convolution (the kernel never wraps onto the
-    zero band); g = grad(I) on I's own periodic grid carries the TV term.
-    The y- and I-updates are diagonal in the FFT of their grids, the
-    g-update is soft-thresholding, and the duals are scaled.
-    """
-    n1, n2 = shape
-    rho = ADMM_PENALTY
+    # Splits: v = K*y carries the data term under the observation mask,
+    # y = pad(I) makes that convolution exact (the kernel never wraps onto
+    # the zero band), g = grad(I) carries the TV term. The (I, v) and
+    # (y, g) blocks alternate; the duals are scaled.
+    rho, mu = ADMM_PENALTY, DATA_PENALTY
+    window = central_window(grid, b.shape)
+    # 2 mask b and 2 mask + mu, mask being 1 on the observed window only
+    b2 = np.zeros(grid)
+    b2[window] = 2.0 * b
+    v_den = np.full(grid, mu)
+    v_den[window] += 2.0
+    fk_adj = mu * np.conj(fk)
+    y_den = mu * np.abs(fk) ** 2 + rho
     lap = ((2.0 - 2.0 * np.cos(2.0 * np.pi * np.arange(n1) / n1))[:, None]
            + (2.0 - 2.0 * np.cos(2.0 * np.pi * np.arange(n2 // 2 + 1) / n2)))
     if state is None:
-        o1, o2 = (b.shape[0] - n1) // 2, (b.shape[1] - n2) // 2
-        img = b[o1:o1 + n1, o2:o2 + n2] if x0 is None else as_image(x0)
-        if img.shape != (n1, n2):
+        img = b[central_window(b.shape, shape)] if x0 is None else as_image(x0)
+        if img.shape != shape:
             raise ValueError("warm start must match the latent size")
-        y = np.zeros(b.shape)
+        y = np.zeros(grid)
         y[:n1, :n2] = img
-        state = AdmmState(y, _grad(img), np.zeros(b.shape),
+        state = AdmmState(y, sfft.irfft2(fk * sfft.rfft2(y), s=grid),
+                          _grad(img), np.zeros(grid), np.zeros(grid),
                           np.zeros((2, n1, n2)))
-    elif state.data.shape != b.shape or state.grad.shape != (2, n1, n2):
+    elif state.pad.shape != grid or state.grad.shape != (2, n1, n2):
         raise ValueError("solver state does not match the problem size")
-    y, g, uy, ug = state.data, state.grad, state.data_dual, state.grad_dual
+    y, ky, g = state.pad, state.blur, state.grad
+    uy, uv, ug = state.pad_dual, state.data_dual, state.grad_dual
     img = None
     it = 0
     converged = False
     while it < cfg.max_inner:
         # I: (1 + grad'grad) I = pad'(y + uy) + grad'(g + ug), as pad'pad = 1
         rhs = (y + uy)[:n1, :n2] + _grad_adjoint(g + ug)
-        new = np.fft.irfft2(np.fft.rfft2(rhs) / (1.0 + lap), s=shape)
-        padded = np.zeros(b.shape)
+        new = sfft.irfft2(sfft.rfft2(rhs) / (1.0 + lap), s=shape)
+        padded = np.zeros(grid)
         padded[:n1, :n2] = new
-        # y: (2 K'K + rho) y = 2 K'b + rho (pad(I) - uy)
-        y = np.fft.irfft2((2.0 * data_num + rho * np.fft.rfft2(padded - uy))
-                          / (2.0 * data_den + rho), s=b.shape)
+        # v: (2 mask + mu) v = 2 mask b + mu (K*y - uv), pointwise
+        v = (b2 + mu * (ky - uv)) / v_den
+        # y: (mu K'K + rho) y = mu K'(v + uv) + rho (pad(I) - uy)
+        fy = (fk_adj * sfft.rfft2(v + uv)
+              + rho * sfft.rfft2(padded - uy)) / y_den
+        y = sfft.irfft2(fy, s=grid)
+        ky = sfft.irfft2(fk * fy, s=grid)
         gi = _grad(new)
         g = soft_threshold(gi - ug, cfg.lam / rho)
-        uy = uy + y - padded
-        ug = ug + g - gi
+        # primal residuals of the three splits, which update the duals
+        rv, ry, rg = v - ky, y - padded, g - gi
+        uv = uv + rv
+        uy = uy + ry
+        ug = ug + rg
         scale = max(np.linalg.norm(new), 1e-30)
         change = np.linalg.norm(new - img) / scale if img is not None else np.inf
-        resid = np.sqrt(np.sum((y - padded) ** 2) + np.sum((g - gi) ** 2)) / scale
+        resid = np.linalg.norm([np.linalg.norm(rv), np.linalg.norm(ry),
+                                np.linalg.norm(rg)]) / scale
         img = new
         it += 1
         if max(change, resid) < cfg.tol:
             converged = True
             break
-    return TvResult(img, it, converged, AdmmState(y, g, uy, ug))
-
-
-def _tv_deconv_cropped(b, k, cfg, x0):
-    """HQS restoration when b is a same-size central crop of the convolution.
-
-    The quadratic subproblem no longer diagonalizes in Fourier because of the
-    crop, so it is solved by conjugate gradients on the exact
-    crop-of-convolution operator (warm-started across the continuation).
-    """
-    n1, n2 = b.shape
-    m1, m2 = k.shape
-    o1, o2 = (m1 - 1) // 2, (m2 - 1) // 2
-    kf = k[::-1, ::-1]
-
-    def forward(x):
-        full = signal.fftconvolve(x, k, mode="full")
-        return full[o1:o1 + n1, o2:o2 + n2]
-
-    def adjoint(y):
-        full = np.zeros((n1 + m1 - 1, n2 + m2 - 1))
-        full[o1:o1 + n1, o2:o2 + n2] = y
-        return signal.fftconvolve(full, kf, mode="valid")
-
-    def dx(x):
-        return np.roll(x, 1, axis=1) - x
-
-    def dy(x):
-        return np.roll(x, 1, axis=0) - x
-
-    def dxt(v):
-        return np.roll(v, -1, axis=1) - v
-
-    def dyt(v):
-        return np.roll(v, -1, axis=0) - v
-
-    atb = adjoint(b)
-
-    def cg_solve(rhs, beta, x):
-        def op(z):
-            return adjoint(forward(z)) + beta * (dxt(dx(z)) + dyt(dy(z)))
-
-        r = rhs - op(x)
-        p = r.copy()
-        rs = float(np.sum(r * r))
-        tol2 = (1e-10 * np.linalg.norm(rhs)) ** 2
-        for _ in range(50):
-            if rs <= tol2:
-                break
-            ap = op(p)
-            a = rs / float(np.sum(p * ap))
-            x = x + a * p
-            r = r - a * ap
-            rs_new = float(np.sum(r * r))
-            p = r + (rs_new / rs) * p
-            rs = rs_new
-        return x
-
-    img = as_image(x0).copy() if x0 is not None else b.copy()
-    if img.shape != b.shape:
-        raise ValueError("warm start must match the observation size")
-    schedule = list(cfg.betas)
-    it = 0
-    converged = False
-    while it < cfg.max_inner:
-        beta = schedule[it] if it < len(schedule) else schedule[-1]
-        thr = cfg.lam / (2.0 * beta)
-        wx = soft_threshold(dx(img), thr)
-        wy = soft_threshold(dy(img), thr)
-        rhs = atb + beta * (dxt(wx) + dyt(wy))
-        new = cg_solve(rhs, beta, img)
-        change = np.linalg.norm(new - img) / max(np.linalg.norm(img), 1e-30)
-        img = new
-        it += 1
-        if it >= len(schedule) and change < cfg.tol:
-            converged = True
-            break
-    return TvResult(img, it, converged)
+    return TvResult(img, it, converged, AdmmState(y, ky, g, uy, uv, ug))

@@ -13,7 +13,6 @@ from convdeblur.regularizer import build_hessian
 from convdeblur.spectral import conv_spectrum
 from convdeblur.synth import kernel_error, make_kernel, make_test_image, synth_blur
 from convdeblur.tensorops import toeplitz, vectorize
-from convdeblur.tv import TvSolverConfig
 
 
 @pytest.fixture(scope="module")
@@ -140,12 +139,6 @@ class TestBlindDeblur:
             DeblurConfig(m1=0, m2=5)
         with pytest.raises(ValueError):
             DeblurConfig(m1=5, m2=5, alpha=-1.0)
-        # the full-convolution image step runs a fixed ADMM iteration count
-        with pytest.raises(ValueError):
-            DeblurConfig(m1=5, m2=5, tv=TvSolverConfig(max_inner=10))
-        cfg = DeblurConfig(m1=5, m2=5, assume_full=False,
-                           tv=TvSolverConfig(max_inner=10))
-        assert cfg.tv.max_inner == 10
 
     def test_default_sampling_sizes(self):
         cfg = DeblurConfig(m1=9, m2=9)

@@ -5,7 +5,8 @@ import pytest
 from click.testing import CliRunner
 
 from convdeblur.cli import main
-from convdeblur.imgio import load_kernel_txt, save_image
+from convdeblur.imgio import (load_image, load_kernel_txt, save_image,
+                              save_kernel_txt)
 from convdeblur.synth import make_kernel, make_test_image, synth_blur
 
 
@@ -54,19 +55,22 @@ def test_estimate_kernel_command(runner, blurry_pgm, tmp_path):
     assert k.shape == (5, 5)
 
 
-def test_deconv_command(runner, tmp_path):
+@pytest.mark.parametrize("cropped", [False, True], ids=["full", "cropped"])
+def test_deconv_command(runner, tmp_path, cropped):
     img = make_test_image("polygons", 40, seed=2)
     k = make_kernel("gaussian", 5, {"sigma": 1.0})
     b, _ = synth_blur(img, k)
+    if cropped:
+        b = b[2:42, 2:42]
     bpath = tmp_path / "b.pgm"
     save_image(bpath, b)
     kpath = tmp_path / "k.txt"
-    from convdeblur.imgio import save_kernel_txt
     save_kernel_txt(kpath, k)
     out = tmp_path / "o"
-    r = runner.invoke(main, ["deconv", str(bpath), str(kpath), "-o", str(out)])
+    r = runner.invoke(main, ["deconv", str(bpath), str(kpath), "-o", str(out)]
+                      + (["--cropped"] if cropped else []))
     assert r.exit_code == 0, r.output
-    assert (out / "restored.pgm").exists()
+    assert load_image(str(out / "restored.pgm")).shape == (40, 40)
 
 
 def test_deblur_command(runner, blurry_pgm, tmp_path):
@@ -100,6 +104,16 @@ def test_synth_and_eval_commands(runner, tmp_path):
     assert "kernel_error" in text and "noiseless_bound" in text
 
 
+def test_deblur_cropped_command(runner, blurry_pgm, tmp_path):
+    out = tmp_path / "o"
+    r = runner.invoke(main, ["deblur", blurry_pgm, "--kernel-size", "5",
+                             "--alpha", "1e-5", "--max-iters", "2",
+                             "--method", "gram", "--cropped", "-o", str(out)])
+    assert r.exit_code in (0, 3), r.output
+    restored = load_image(str(out / "restored.pgm"))
+    assert restored.shape == load_image(blurry_pgm).shape
+
+
 def test_eval_warns_when_restoration_is_worse_than_blurry(runner, tmp_path):
     # the spectral estimate of this off-centre curve kernel is a wide blob
     # (kernel error 0.26); restoring with it loses to the blurry input,
@@ -117,6 +131,23 @@ def test_eval_warns_when_restoration_is_worse_than_blurry(runner, tmp_path):
     assert float(rows["psnr_restored"]) < float(rows["psnr_blurry"])
     assert "warning: the restored image is further" in r.stderr
     assert (out / "restored.pgm").exists()
+
+
+def test_eval_with_another_kernel_size(runner, tmp_path):
+    # a 3x3 estimate of a 5x5 blur restores a larger image than the sharp
+    # one; eval scores them on their common central window
+    case = tmp_path / "case"
+    r = runner.invoke(main, ["synth", "--size", "48", "--kernel-size", "5",
+                             "-o", str(case)])
+    assert r.exit_code == 0, r.output
+    out = tmp_path / "eval"
+    r = runner.invoke(main, ["eval", "--case", str(case), "--kernel-size",
+                             "3", "-o", str(out)])
+    assert r.exit_code == 0, r.output
+    rows = dict(line.split(",") for line in
+                (out / "metrics.csv").read_text().splitlines()[1:])
+    assert np.isfinite(float(rows["psnr_restored"]))
+    assert load_kernel_txt(out / "kernel_estimated.txt").shape == (3, 3)
 
 
 def test_sweep_command(runner, blurry_pgm, tmp_path):

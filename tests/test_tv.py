@@ -4,17 +4,11 @@ import pytest
 from convdeblur.metrics import psnr
 from convdeblur.synth import make_kernel, make_test_image
 from convdeblur.tensorops import conv2d_full
-from convdeblur.tv import (TvSolverConfig, default_beta_schedule, edge_taper,
-                           soft_threshold, total_variation, tv_deconv)
+from convdeblur.tv import (TvSolverConfig, soft_threshold, total_variation,
+                           tv_deconv)
 
 
 class TestHelpers:
-    def test_beta_schedule(self):
-        betas = default_beta_schedule(256.0)
-        assert betas[0] == 1.0
-        assert betas[-1] <= 256.0
-        assert all(b2 > b1 for b1, b2 in zip(betas, betas[1:]))
-
     def test_soft_threshold(self):
         x = np.array([-2.0, -0.5, 0.0, 0.5, 2.0])
         assert np.allclose(soft_threshold(x, 1.0), [-1.0, 0.0, 0.0, 0.0, 1.0])
@@ -38,17 +32,9 @@ class TestHelpers:
             padded[:12, :12] = img
             assert total_variation(b) <= total_variation(padded) + 1e-9
 
-    def test_edge_taper_preserves_interior(self):
-        img = make_test_image("polygons", 32, seed=0)
-        k = make_kernel("gaussian", 5, {"sigma": 1.0})
-        tapered = edge_taper(img, k)
-        assert np.allclose(tapered[4:-4, 4:-4], img[4:-4, 4:-4])
-
     def test_config_validation(self):
         with pytest.raises(ValueError):
             TvSolverConfig(lam=-1.0)
-        with pytest.raises(ValueError):
-            TvSolverConfig(betas=[1.0, 1.0])
         with pytest.raises(ValueError):
             TvSolverConfig(max_inner=0)
 
@@ -100,23 +86,30 @@ class TestTvDeconv:
 
         assert objective(warm.image) <= objective(cold.image) * 1.001
 
-    def test_state_resumes_iteration(self):
+    @pytest.mark.parametrize("assume_full", [True, False],
+                             ids=["full", "cropped"])
+    def test_state_resumes_iteration(self, assume_full):
         # ten iterations, then ten more from the returned state, are the
-        # same iterate as twenty in one call
+        # same iterate as twenty in one call, for both data models
         img = make_test_image("polygons", 32, seed=4)
         k = make_kernel("gaussian", 5, {"sigma": 1.0})
         b = conv2d_full(img, k)
+        if not assume_full:
+            b = b[2:34, 2:34]
         cfg = TvSolverConfig(lam=0.0015, max_inner=10, tol=0.0)
-        first = tv_deconv(b, k, cfg)
-        resumed = tv_deconv(b, k, cfg, state=first.state)
+        first = tv_deconv(b, k, cfg, assume_full=assume_full)
+        resumed = tv_deconv(b, k, cfg, assume_full=assume_full,
+                            state=first.state)
         whole = tv_deconv(b, k, TvSolverConfig(lam=0.0015, max_inner=20,
-                                               tol=0.0))
+                                               tol=0.0),
+                          assume_full=assume_full)
         assert np.array_equal(resumed.image, whole.image)
-        # one warm start at a time, and state only for full-convolution data
+        # one warm start at a time, and a state of the problem's own size
         with pytest.raises(ValueError):
-            tv_deconv(b, k, cfg, x0=first.image, state=first.state)
+            tv_deconv(b, k, cfg, assume_full=assume_full, x0=first.image,
+                      state=first.state)
         with pytest.raises(ValueError):
-            tv_deconv(b[2:-2, 2:-2], k, cfg, assume_full=False,
+            tv_deconv(b[2:-2, 2:-2], k, cfg, assume_full=assume_full,
                       state=first.state)
 
     def test_nonconverged_flagged(self):
