@@ -1,11 +1,18 @@
-"""Dense 2D convolution, vectorization, and Toeplitz operator construction.
+"""Dense 2D convolution, vectorization, and Toeplitz operators.
 
 All images and kernels are plain 2D float64 numpy arrays. Vectorization is
 row-major everywhere; the Toeplitz row/column ordering is defined by it.
+
+Direct convolutions are sums of shifted slices of the larger operand, one per
+entry of the smaller one, so their cost is output size times the smaller
+operand whatever the argument order. Products with the Toeplitz operator of
+an image (its Gram matrix, its adjoint) go through FFT correlation;
+`toeplitz` builds the explicit matrix, whose size grows with pixels times
+probe size.
 """
 
 import numpy as np
-from scipy import signal
+from scipy import fft as sfft
 
 
 def as_image(x):
@@ -37,10 +44,20 @@ def central_window(full_shape, out_shape):
 
 
 def conv2d_full(x, y):
-    """Full 2D convolution: output (l1+k1-1) x (l2+k2-1), zero boundary."""
+    """Full 2D convolution: output (l1+k1-1) x (l2+k2-1), zero boundary.
+
+    Symmetric in its arguments, bit for bit when they differ in size: the
+    operand with fewer entries is the one iterated over.
+    """
     x = as_image(x)
     y = as_image(y)
-    return signal.convolve2d(x, y, mode="full")
+    if y.size > x.size:
+        x, y = y, x
+    l1, l2 = x.shape
+    out = np.zeros((l1 + y.shape[0] - 1, l2 + y.shape[1] - 1))
+    for (u, v), w in np.ndenumerate(y):
+        out[u:u + l1, v:v + l2] += w * x
+    return out
 
 
 def conv2d_valid(x, y):
@@ -49,7 +66,21 @@ def conv2d_valid(x, y):
     y = as_image(y)
     if y.shape[0] > x.shape[0] or y.shape[1] > x.shape[1]:
         raise ValueError(f"second operand {y.shape} larger than first {x.shape}")
-    return signal.convolve2d(x, y, mode="valid")
+    k1, k2 = y.shape
+    o1, o2 = x.shape[0] - k1 + 1, x.shape[1] - k2 + 1
+    out = np.zeros((o1, o2))
+    for (u, v), w in np.ndenumerate(y):
+        a, b = k1 - 1 - u, k2 - 1 - v
+        out += w * x[a:a + o1, b:b + o2]
+    return out
+
+
+def _fft_conv_full(x, y):
+    """Full 2D convolution by real FFTs padded to fast lengths."""
+    shape = (x.shape[0] + y.shape[0] - 1, x.shape[1] + y.shape[1] - 1)
+    fshape = [sfft.next_fast_len(n, True) for n in shape]
+    prod = sfft.rfft2(x, fshape) * sfft.rfft2(y, fshape)
+    return sfft.irfft2(prod, fshape)[:shape[0], :shape[1]]
 
 
 def vectorize(x):
@@ -82,6 +113,28 @@ def toeplitz(x, k1, k2):
     return a.reshape(out1 * out2, k1 * k2)
 
 
+def lag_gram(lags, k1, k2):
+    """Symmetric k1*k2 x k1*k2 matrix with entry ((u,v),(u',v')) equal to
+    lags at lag (u-u', v-v').
+
+    lags has odd shape (2*r1-1, 2*r2-1) with lag (0,0) at its centre; lags
+    past its support count as zero.
+    """
+    if k1 < 1 or k2 < 1:
+        raise ValueError("probe sizes must be >= 1")
+    r1, r2 = (lags.shape[0] + 1) // 2, (lags.shape[1] + 1) // 2
+    p1, p2 = max(0, k1 - r1), max(0, k2 - r2)
+    if p1 or p2:
+        lags = np.pad(lags, ((p1, p1), (p2, p2)))
+    c1, c2 = r1 - 1 + p1, r2 - 1 + p2
+    u = np.arange(k1)
+    v = np.arange(k2)
+    lag1 = u[:, None, None, None] - u[None, None, :, None]
+    lag2 = v[None, :, None, None] - v[None, None, None, :]
+    g = lags[c1 + lag1, c2 + lag2].reshape(k1 * k2, k1 * k2)
+    return 0.5 * (g + g.T)
+
+
 def toeplitz_gram(x, k1, k2):
     """toeplitz(x,k1,k2).T @ toeplitz(x,k1,k2) without forming the operator.
 
@@ -89,23 +142,7 @@ def toeplitz_gram(x, k1, k2):
     entry ((u,v),(u',v')) is the autocorrelation of x at lag (u-u', v-v').
     """
     x = as_image(x)
-    if k1 < 1 or k2 < 1:
-        raise ValueError("probe sizes must be >= 1")
-    acorr = signal.fftconvolve(x, x[::-1, ::-1], mode="full")
-    # acorr has shape (2*l1-1, 2*l2-1); lag (0,0) sits at (l1-1, l2-1).
-    # Pad with zeros when probe sizes exceed the source (lags past the
-    # support correlate to zero).
-    p1, p2 = max(0, k1 - x.shape[0]), max(0, k2 - x.shape[1])
-    if p1 or p2:
-        acorr = np.pad(acorr, ((p1, p1), (p2, p2)))
-    c1, c2 = x.shape[0] - 1 + p1, x.shape[1] - 1 + p2
-    u = np.arange(k1)
-    v = np.arange(k2)
-    lag1 = u[:, None, None, None] - u[None, None, :, None]
-    lag2 = v[None, :, None, None] - v[None, None, None, :]
-    g = acorr[c1 + lag1, c2 + lag2]
-    g = g.reshape(k1 * k2, k1 * k2)
-    return 0.5 * (g + g.T)
+    return lag_gram(_fft_conv_full(x, x[::-1, ::-1]), k1, k2)
 
 
 def toeplitz_apply_adjoint(x, b, k1, k2):
@@ -114,5 +151,5 @@ def toeplitz_apply_adjoint(x, b, k1, k2):
     b = as_image(b)
     if b.shape != (x.shape[0] + k1 - 1, x.shape[1] + k2 - 1):
         raise ValueError(f"rhs shape {b.shape} inconsistent with operator")
-    out = signal.fftconvolve(b, x[::-1, ::-1], mode="valid")
-    return out.ravel()
+    full = _fft_conv_full(b, x[::-1, ::-1])
+    return full[central_window(full.shape, (k1, k2))].ravel()

@@ -2,11 +2,27 @@ import numpy as np
 import pytest
 
 from convdeblur.features import DELTA, make_log
-from convdeblur.regularizer import (build_hessian, h_value, h_value_direct,
-                                    necessary_condition_check)
-from convdeblur.spectral import conv_spectrum
+from convdeblur.regularizer import (SIGMA_CLAMP_REL, build_hessian, h_value,
+                                    h_value_direct, necessary_condition_check)
+from convdeblur.spectral import ConvSpectrum, conv_spectrum
 from convdeblur.synth import make_kernel, make_test_image, synth_blur
-from convdeblur.tensorops import conv2d_full, vectorize
+from convdeblur.tensorops import conv2d_full, toeplitz_gram, vectorize
+
+
+def kahan_hessian(spec, m1, m2):
+    """Reference: the defining sum of per-eigenvector Gram matrices, in
+    index order with Kahan compensation."""
+    floor = SIGMA_CLAMP_REL * spec.sigma_max
+    d = m1 * m2
+    h = np.zeros((d, d))
+    comp = np.zeros((d, d))
+    for sig, vec in zip(spec.sigmas, spec.vectors):
+        sig = max(float(sig), floor)
+        y = toeplitz_gram(vec, m1, m2) / (sig * sig) - comp
+        t = h + y
+        comp = (t - h) - y
+        h = t
+    return 0.5 * (h + h.T)
 
 
 @pytest.fixture(scope="module")
@@ -21,6 +37,26 @@ class TestHessian:
         hess = build_hessian(spec, 3, 3)
         assert np.allclose(hess.matrix, hess.matrix.T)
         assert np.linalg.eigvalsh(hess.matrix).min() > 0
+
+    @pytest.mark.parametrize("m1,m2", [(3, 3), (7, 5), (2, 9)])
+    def test_matches_kahan_sum(self, m1, m2):
+        # the blurred LoG spectrum is ill-conditioned; (7,5) and (2,9) have
+        # m > s on at least one axis
+        img = make_test_image("polygons", 40, seed=3)
+        b, _ = synth_blur(img, make_kernel("gaussian", 5, {"sigma": 1.0}))
+        spec = conv_spectrum(b, make_log(1.0), 4, 6)
+        ref = kahan_hessian(spec, m1, m2)
+        h = build_hessian(spec, m1, m2).matrix
+        assert np.max(np.abs(h - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    def test_clamped_spectrum_matches_kahan_sum(self, spec):
+        sig = spec.sigmas.copy()
+        sig[-3:] = 1e-3 * SIGMA_CLAMP_REL * sig[0]
+        clamped = ConvSpectrum(spec.s1, spec.s2, sig, spec.vectors)
+        hess = build_hessian(clamped, 5, 5)
+        assert hess.clamp_count == 3
+        ref = kahan_hessian(clamped, 5, 5)
+        assert np.max(np.abs(hess.matrix - ref)) <= 1e-12 * np.max(np.abs(ref))
 
     def test_quadratic_form_matches_defining_sum(self, spec):
         hess = build_hessian(spec, 3, 3)
@@ -72,6 +108,16 @@ class TestNecessaryCondition:
         spec_i = conv_spectrum(img, DELTA, 6, 6, method="gram")
         slacks = necessary_condition_check(spec_b, spec_i.sigma_min, k0)
         assert slacks.min() >= -1e-9
+
+    def test_matches_per_eigenvector_loop(self):
+        img = make_test_image("polygons", 32, seed=4)
+        k = make_kernel("gaussian", 5, {"sigma": 1.0})
+        b, _ = synth_blur(img, k)
+        spec_b = conv_spectrum(b, make_log(1.0), 5, 4)
+        slacks = necessary_condition_check(spec_b, 0.3, k)
+        ref = [sig / 0.3 - np.linalg.norm(conv2d_full(k, vec))
+               for sig, vec in zip(spec_b.sigmas, spec_b.vectors)]
+        assert np.allclose(slacks, ref, rtol=1e-10, atol=1e-12)
 
     def test_bad_sigma_rejected(self, spec):
         with pytest.raises(ValueError):

@@ -1,8 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from convdeblur.features import DELTA, apply_filter, make_log
 from convdeblur.spectral import (conv_condition, conv_spectrum, sharpness)
+from convdeblur.synth import make_kernel, make_test_image, synth_blur
 from convdeblur.tensorops import conv2d_full, toeplitz, vectorize
 
 
@@ -18,6 +21,27 @@ class TestConvSpectrum:
         a = toeplitz(image, 4, 4)
         ref = np.linalg.svd(a, compute_uv=False)
         assert np.allclose(spec.sigmas, ref, rtol=1e-12)
+
+    @pytest.mark.parametrize("case", ["ill-conditioned LoG", "non-square",
+                                      "probe larger than image"])
+    def test_svd_matches_explicit_toeplitz_svd(self, case):
+        f = make_log(1.0)
+        if case == "ill-conditioned LoG":
+            img = make_test_image("polygons", 40, seed=1)
+            img, _ = synth_blur(img, make_kernel("gaussian", 9, {"sigma": 2.0}))
+            s1 = s2 = 10
+        elif case == "non-square":
+            img = np.random.default_rng(4).uniform(size=(23, 9))
+            s1, s2 = 5, 7
+        else:
+            img = np.random.default_rng(5).uniform(size=(3, 4))
+            f, s1, s2 = DELTA, 6, 5
+        ref = np.linalg.svd(toeplitz(apply_filter(f, img), s1, s2),
+                            compute_uv=False)
+        if case == "ill-conditioned LoG":
+            assert ref[0] / ref[-1] > 1e6
+        spec = conv_spectrum(img, f, s1, s2)
+        assert np.max(np.abs(spec.sigmas - ref) / ref) <= 1e-10
 
     def test_eigen_pairs_satisfy_definition(self, image):
         # ||I (x) kappa_i||_F == sigma_i for every pair
@@ -43,6 +67,13 @@ class TestConvSpectrum:
         # eigenvectors may differ by sign; compare the quadratic forms
         for v1, v2 in zip(s1.vectors, s2.vectors):
             assert np.isclose(abs(np.sum(v1 * v2)), 1.0, atol=1e-6)
+
+    def test_vector_signs_agree_between_methods(self, image):
+        s1 = conv_spectrum(image, make_log(1.0), 4, 4, method="svd")
+        s2 = conv_spectrum(image, make_log(1.0), 4, 4, method="gram")
+        gaps = -np.diff(s1.sigmas) / s1.sigmas[:-1]
+        assert gaps.min() > 1e-3     # well separated: vectors are unique
+        assert np.allclose(s1.vectors, s2.vectors, atol=1e-8)
 
     def test_feature_filter_composes(self, image):
         # spectrum under LoG == spectrum of the LoG-filtered image under delta
@@ -78,3 +109,15 @@ class TestConvSpectrum:
     def test_unknown_method(self, image):
         with pytest.raises(ValueError):
             conv_spectrum(image, DELTA, 2, 2, method="arnoldi")
+
+
+def test_svd_spectrum_memory_is_independent_of_operator_size():
+    # the explicit 34225 x 400 Toeplitz matrix alone would take 110 MB
+    img = make_test_image("polygons", 160, seed=1)
+    tracemalloc.start()
+    try:
+        conv_spectrum(img, make_log(1.0), 20, 20)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32e6

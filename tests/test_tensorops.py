@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -45,10 +49,12 @@ class TestConv2d:
                                atol=1e-12)
 
     def test_commutativity(self):
+        # bit-exact: either argument order iterates over the smaller operand
         rng = np.random.default_rng(1)
-        x = rng.standard_normal((6, 4))
-        y = rng.standard_normal((3, 3))
-        assert np.allclose(conv2d_full(x, y), conv2d_full(y, x), atol=1e-12)
+        for xs, ys in [((6, 4), (3, 3)), ((7, 7), (40, 31)), ((2, 9), (5, 1)),
+                       ((1, 1), (4, 6)), ((12, 3), (3, 13))]:
+            x, y = rng.standard_normal(xs), rng.standard_normal(ys)
+            assert np.array_equal(conv2d_full(x, y), conv2d_full(y, x))
 
     def test_associativity(self):
         rng = np.random.default_rng(2)
@@ -168,3 +174,13 @@ class TestValidation:
     def test_nan_rejected(self):
         with pytest.raises(ValueError):
             as_image([[1.0, np.nan]])
+
+
+def test_import_leaves_scipy_signal_out():
+    # scipy.signal and what it pulls in cost most of the package's import
+    import convdeblur
+    src = os.path.dirname(os.path.dirname(convdeblur.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = ("import sys, convdeblur; "
+            "sys.exit('scipy.signal' in sys.modules)")
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
