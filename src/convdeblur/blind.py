@@ -54,7 +54,7 @@ class DeblurConfig:
     k_tol: float = 1e-6
     obj_rel_tol: float = 1e-8
     qp_tol: float = 1e-8
-    qp_max_iter: int = 10000
+    qp_max_iter: int = 10000    # working-set changes per kernel step
     spectrum_method: str = "svd"
     assume_full: bool = True    # False: B is a same-size (cropped) observation
 

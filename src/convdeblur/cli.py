@@ -139,7 +139,10 @@ def spectrum(ctx, image, feature, log_sigma, sample_size, method,
 @click.pass_context
 def estimate_kernel_cmd(ctx, image, kernel_size, sample_size, feature,
                         log_sigma, method, out, **_):
-    """Estimate the blur kernel from IMAGE alone (no latent image)."""
+    """Estimate the blur kernel from IMAGE alone (no latent image).
+
+    Prints the QP's objective, its scale-free KKT residual and its
+    iterations, which count working-set changes."""
     apply_config(ctx)
     p = ctx.params
 

@@ -1,13 +1,19 @@
 """Convex quadratic minimization over the probability simplex.
 
-Solver: accelerated projected gradient (FISTA) with function-value adaptive
-restart. Matrix-free apart from Q @ x products; feasibility is maintained by
-Euclidean projection onto the simplex after every step.
+Solver: primal active-set method (Nocedal & Wright, Numerical Optimization,
+2nd ed., section 16.5). The working set holds the coordinates fixed at zero.
+Each iteration solves the KKT system of the face it leaves free and steps
+toward that face's minimizer; a coordinate that blocks the step joins the
+working set, and at the minimizer the coordinate with the most negative
+multiplier leaves it. The result is exact to rounding whatever the
+condition number of Q, singular Q included.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
+
+EPS = np.finfo(np.float64).eps
 
 
 @dataclass(frozen=True)
@@ -66,64 +72,90 @@ def project_simplex(v):
     return np.maximum(v + theta, 0.0)
 
 
-def estimate_lambda_max(q, iters=50, tol=1e-6, seed=0):
-    """Largest eigenvalue of symmetric PSD q by power iteration."""
-    rng = np.random.default_rng(seed)
-    x = rng.standard_normal(q.shape[0])
-    x /= np.linalg.norm(x)
-    lam = 0.0
-    for _ in range(iters):
-        y = q @ x
-        lam_new = float(x @ y)
-        ny = np.linalg.norm(y)
-        if ny == 0.0:
-            return 0.0
-        x = y / ny
-        if abs(lam_new - lam) <= tol * max(abs(lam_new), 1e-30):
-            lam = lam_new
-            break
-        lam = lam_new
-    return abs(lam)
+def _term_size(p, x):
+    """max(2|Q||x| + |c|): the size of the terms summed into the gradient."""
+    return float((2.0 * (np.abs(p.q) @ np.abs(x)) + np.abs(p.c)).max())
 
 
-def kkt_residual(p, x, step):
-    """Projected-gradient fixed-point residual; zero iff x is optimal."""
-    return float(np.linalg.norm(x - project_simplex(x - step * p.gradient(x))))
+def _slack(p, x, g, tol):
+    """tol times the gradient scale max|g|, plus the rounding error of g."""
+    return tol * np.abs(g).max() + p.dim * EPS * _term_size(p, x)
+
+
+def kkt_residual(p, x):
+    """Frank-Wolfe gap g.x - min(g) at x on the simplex, over the size of the
+    gradient's terms. Zero iff x is optimal; unchanged when Q and c are
+    scaled together; at rounding level at the minimizer of any Q."""
+    g = p.gradient(x)
+    size = _term_size(p, x)
+    return float((g @ x - g.min()) / size) if size > 0 else 0.0
+
+
+def _face_step(p, x, free, tol):
+    """(d, True) with x + d the minimizer on the face {x_i = 0 off free,
+    sum(x) = 1}, or (d, False) with d a descent direction of zero curvature
+    along which the objective falls without bound on that face."""
+    idx = np.flatnonzero(free)
+    q, n, d = p.q[np.ix_(idx, idx)], idx.size, np.zeros_like(x)
+    try:
+        pivots = np.diagonal(np.linalg.cholesky(q))
+        # exact rank loss leaves squared pivots near n * eps * max(diag q)
+        regular = pivots.min() ** 2 > np.sqrt(EPS) * q.diagonal().max()
+    except np.linalg.LinAlgError:
+        regular = False
+    if regular:
+        # range-space solve of 2 q z + c = nu 1, sum(z) = 1
+        a, b = np.linalg.solve(q, np.stack([np.ones(n), p.c[idx]], 1)).T
+        nu = (2.0 + b.sum()) / a.sum()
+        d[idx] = 0.5 * (nu * a - b) - x[idx]
+        return d, True
+    # singular q: Newton step on the range of q restricted to sum(d) = 0;
+    # the gradient left on its null space meets no curvature
+    g = p.gradient(x)
+    slack = _slack(p, x, g, tol)
+    g = g[idx] - g[idx].mean()
+    w, v = np.linalg.eigh(q - q.mean(0) - q.mean(1)[:, None] + q.mean())
+    keep = w > n * EPS * np.trace(q)
+    coef = v[:, keep].T @ g
+    flat = g - v[:, keep] @ coef
+    bounded = np.abs(flat).max() <= slack
+    # centred, so that an unbounded direction has a negative entry
+    d[idx] = -0.5 * (v[:, keep] @ (coef / w[keep])) if bounded else -flat
+    d[idx] -= d[idx].mean()
+    return d, bounded
 
 
 def solve_qp(p, tol=1e-8, max_iter=10000, x0=None):
-    """FISTA over the simplex with adaptive restart.
-
-    Step size 1/(2*lambda_max(Q)), i.e. the inverse Lipschitz constant of the
-    gradient of x^T Q x + c^T x. Terminates when the projected-gradient
-    residual drops below tol; returns the best iterate flagged non-converged
-    when max_iter is exhausted.
-    """
+    """Primal active-set method from project_simplex(x0) (default: the
+    uniform point), whose zeros are the first working set. It stops when
+    every working-set multiplier g_i - nu is at least -tol times max|g|
+    (less g's rounding error). iterations counts working-set changes; after
+    max_iter of them the feasible point is returned flagged non-converged."""
     if tol <= 0:
         raise ValueError("tol must be positive")
-    d = p.dim
-    lam = estimate_lambda_max(p.q)
-    step = 1.0 / (2.0 * lam) if lam > 0 else 1.0
-    x = project_simplex(np.full(d, 1.0 / d) if x0 is None else np.asarray(x0, float))
-    y = x.copy()
-    t = 1.0
-    fx = p.objective(x)
-    best_x, best_f = x, fx
-    it = 0
-    for it in range(1, max_iter + 1):
-        x_new = project_simplex(y - step * p.gradient(y))
-        f_new = p.objective(x_new)
-        if f_new > fx:  # momentum overshot: restart from the last iterate
-            t = 1.0
-            y = x.copy()
-            x_new = project_simplex(y - step * p.gradient(y))
-            f_new = p.objective(x_new)
-        t_new = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
-        y = x_new + ((t - 1.0) / t_new) * (x_new - x)
-        x, fx, t = x_new, f_new, t_new
-        if fx < best_f:
-            best_x, best_f = x, fx
-        if np.linalg.norm(x - project_simplex(x - step * p.gradient(x))) <= tol:
-            return QpSolution(x, fx, it, kkt_residual(p, x, step), True)
-    res = kkt_residual(p, best_x, step)
-    return QpSolution(best_x, best_f, it, res, res <= tol)
+    x = project_simplex(np.full(p.dim, 1.0 / p.dim) if x0 is None else x0)
+    free = x > EPS   # the projection lifts the zeros of a feasible x0 a bit
+    x[~free] = 0.0
+    changes, converged = 0, False
+    while True:
+        step, bounded = _face_step(p, x, free, tol)
+        neg = np.flatnonzero(step < 0)
+        ratios = x[neg] / -step[neg]
+        full = bounded and not np.any(ratios < 1.0)
+        if full:
+            x = (x + step) / (x + step).sum()
+            g = p.gradient(x)
+            mult = np.where(free, np.inf, g - g[free].mean())
+            j = int(np.argmin(mult))
+            converged = bool(mult[j] >= -_slack(p, x, g, tol))
+        if converged or changes >= max_iter:
+            return QpSolution(x, p.objective(x), changes,
+                              kkt_residual(p, x), converged)
+        if full:
+            free[j] = True
+        else:
+            j = neg[np.argmin(ratios)]
+            x = np.maximum(x + ratios.min() * step, 0.0)
+            x[j], free[j] = 0.0, False
+            x /= x.sum()
+        changes += 1
