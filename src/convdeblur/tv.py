@@ -11,10 +11,18 @@ Figueiredo, "Deconvolving images with unknown boundaries using ADMM", IEEE
 TIP 2013). The latent is zero-embedded in the full-convolution grid, where
 the periodic convolution equals the full one, and the observation becomes a
 0/1 mask on that grid; TV stays on I's own grid. Every subproblem is then
-diagonal in the FFT or pointwise. The split and dual variables are returned
-so that a caller can resume the iteration.
+diagonal in the FFT or pointwise.
+
+The grid variables (y = pad(I), K*y and their duals) are held as rfft2
+half-spectra, where the y-update and the dual updates are pointwise. With
+full-convolution data the mask is all ones and the data update is pointwise
+there too, so an iteration takes two transforms on the grid (back for the
+I-update, forth for pad(I)) and two on I's grid. A cropped observation
+applies its mask on the grid, which adds one round trip. The split and dual
+variables are returned so that a caller can resume the iteration.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,9 +54,10 @@ class TvSolverConfig:
 @dataclass(frozen=True)
 class AdmmState:
     """Split and scaled dual variables of the solver. All but the gradient
-    pair live on the full-convolution grid."""
+    pair live on the full-convolution grid and are held as its rfft2
+    half-spectra; the gradient pair is real, on I's grid."""
     pad: np.ndarray         # y = pad(I)
-    blur: np.ndarray        # K*y, which the data split v tracks
+    blur: np.ndarray        # K*y for the kernel of the call that returned it
     grad: np.ndarray        # g = grad(I), shape (2, n1, n2)
     pad_dual: np.ndarray
     data_dual: np.ndarray
@@ -69,24 +78,39 @@ def total_variation(img):
     return float(np.abs(dx).sum() + np.abs(dy).sum())
 
 
-def _grad(x):
-    """Horizontal and vertical periodic forward differences, stacked."""
-    return np.stack([np.roll(x, -1, axis=1) - x, np.roll(x, -1, axis=0) - x])
+def _grad(x, out=None):
+    """Horizontal and vertical periodic forward differences of x, stacked
+    into out (shape (2,) + x.shape)."""
+    if out is None:
+        out = np.empty((2,) + x.shape)
+    np.subtract(x[:, 1:], x[:, :-1], out=out[0, :, :-1])
+    np.subtract(x[:, :1], x[:, -1:], out=out[0, :, -1:])
+    np.subtract(x[1:], x[:-1], out=out[1, :-1])
+    np.subtract(x[:1], x[-1:], out=out[1, -1:])
+    return out
 
 
-def _grad_adjoint(g):
-    return (np.roll(g[0], 1, axis=1) - g[0]) + (np.roll(g[1], 1, axis=0) - g[1])
+def _grad_adjoint(g, out):
+    """Adjoint of _grad, written into out (shape g.shape[1:])."""
+    g0, g1 = g
+    np.subtract(g0[:, :-1], g0[:, 1:], out=out[:, 1:])
+    np.subtract(g0[:, -1:], g0[:, :1], out=out[:, :1])
+    out[1:] += g1[:-1]
+    out[1:] -= g1[1:]
+    out[:1] += g1[-1:]
+    out[:1] -= g1[:1]
+    return out
 
 
-def soft_threshold(x, thr):
-    return x - np.clip(x, -thr, thr)
-
-
-def _otf(psf, shape):
-    """Real FFT of a filter embedded at the top-left of the given grid."""
-    pad = np.zeros(shape)
-    pad[:psf.shape[0], :psf.shape[1]] = psf
-    return sfft.rfft2(pad)
+def _grid_sq_norm(fx, grid):
+    """Squared l2 norm of a real grid array from its rfft2 half-spectrum, by
+    Parseval: column 0 and, for an even width, the Nyquist column have no
+    conjugate twin and count once, the other columns twice."""
+    a = fx.real ** 2 + fx.imag ** 2
+    total = 2.0 * a.sum() - a[:, 0].sum()
+    if grid[1] % 2 == 0:
+        total -= a[:, -1].sum()
+    return total / (grid[0] * grid[1])
 
 
 def tv_deconv(b, k, cfg=None, assume_full=True, x0=None, state=None):
@@ -121,7 +145,7 @@ def tv_deconv(b, k, cfg=None, assume_full=True, x0=None, state=None):
         grid = (b.shape[0] + m1 - 1, b.shape[1] + m2 - 1)
         shape = b.shape
     n1, n2 = shape
-    fk = _otf(k, grid)
+    fk = sfft.rfft2(k, s=grid)   # k zero-embedded at the grid's top left
 
     if cfg.lam == 0.0 and assume_full:
         # no regularizer: the minimizer is the inverse filter (exact for
@@ -133,61 +157,99 @@ def tv_deconv(b, k, cfg=None, assume_full=True, x0=None, state=None):
     # Splits: v = K*y carries the data term under the observation mask,
     # y = pad(I) makes that convolution exact (the kernel never wraps onto
     # the zero band), g = grad(I) carries the TV term. The (I, v) and
-    # (y, g) blocks alternate; the duals are scaled.
+    # (y, g) blocks alternate; the duals are scaled. y, K*y and their duals
+    # are kept as half-spectra, so the y- and dual updates are pointwise.
     rho, mu = ADMM_PENALTY, DATA_PENALTY
-    window = central_window(grid, b.shape)
-    # 2 mask b and 2 mask + mu, mask being 1 on the observed window only
-    b2 = np.zeros(grid)
-    b2[window] = 2.0 * b
-    v_den = np.full(grid, mu)
-    v_den[window] += 2.0
-    fk_adj = mu * np.conj(fk)
+    if assume_full:
+        # the mask is all ones: v = (2 b + mu (K*y - uv)) / (2 + mu) is
+        # pointwise in Fourier space too
+        fb2 = sfft.rfft2(b) * (2.0 / (2.0 + mu))
+    else:
+        window = central_window(grid, b.shape)
+        # 2 mask b and 2 mask + mu, mask being 1 on the observed window only
+        b2 = np.zeros(grid)
+        b2[window] = 2.0 * b
+        v_den = np.full(grid, mu)
+        v_den[window] += 2.0
+    # y-update weights of K'(v + uv) and pad(I) - uy
     y_den = mu * np.abs(fk) ** 2 + rho
-    lap = ((2.0 - 2.0 * np.cos(2.0 * np.pi * np.arange(n1) / n1))[:, None]
-           + (2.0 - 2.0 * np.cos(2.0 * np.pi * np.arange(n2 // 2 + 1) / n2)))
+    wv = mu * np.conj(fk) / y_den
+    wp = rho / y_den
+    thr = cfg.lam / rho
+    i_inv = 1.0 / (1.0 + (
+        (2.0 - 2.0 * np.cos(2.0 * np.pi * np.arange(n1) / n1))[:, None]
+        + (2.0 - 2.0 * np.cos(2.0 * np.pi * np.arange(n2 // 2 + 1) / n2))))
     if state is None:
         img = b[central_window(b.shape, shape)] if x0 is None else as_image(x0)
         if img.shape != shape:
             raise ValueError("warm start must match the latent size")
         y = np.zeros(grid)
         y[:n1, :n2] = img
-        state = AdmmState(y, sfft.irfft2(fk * sfft.rfft2(y), s=grid),
-                          _grad(img), np.zeros(grid), np.zeros(grid),
-                          np.zeros((2, n1, n2)))
-    elif state.pad.shape != grid or state.grad.shape != (2, n1, n2):
+        fy = sfft.rfft2(y)
+        state = AdmmState(fy, fk * fy, _grad(img), np.zeros_like(fy),
+                          np.zeros_like(fy), np.zeros((2, n1, n2)))
+    elif state.pad.shape != fk.shape or state.grad.shape != (2, n1, n2):
         raise ValueError("solver state does not match the problem size")
-    y, ky, g = state.pad, state.blur, state.grad
-    uy, uv, ug = state.pad_dual, state.data_dual, state.grad_dual
+    fy, fky, g = state.pad, state.blur, state.grad
+    # private copies, as the duals are updated in place
+    fuy, fuv, ug = (state.pad_dual.copy(), state.data_dual.copy(),
+                    state.grad_dual.copy())
+    # work buffers: in the loop only the FFTs allocate
+    padded = np.zeros(grid)
+    rhs = np.empty(shape)
+    gsum, gi, g_buf = np.empty((3, 2, n1, n2))
+    tmp, fv_buf, fy_buf, fky_buf = np.empty((4,) + fk.shape, dtype=complex)
     img = None
     it = 0
     converged = False
     while it < cfg.max_inner:
         # I: (1 + grad'grad) I = pad'(y + uy) + grad'(g + ug), as pad'pad = 1
-        rhs = (y + uy)[:n1, :n2] + _grad_adjoint(g + ug)
-        new = sfft.irfft2(sfft.rfft2(rhs) / (1.0 + lap), s=shape)
-        padded = np.zeros(grid)
+        _grad_adjoint(np.add(g, ug, out=gsum), rhs)
+        rhs += sfft.irfft2(np.add(fy, fuy, out=tmp), s=grid,
+                           overwrite_x=True)[:n1, :n2]
+        frhs = sfft.rfft2(rhs)
+        frhs *= i_inv
+        new = sfft.irfft2(frhs, s=shape, overwrite_x=True)
         padded[:n1, :n2] = new
+        fpad = sfft.rfft2(padded)
         # v: (2 mask + mu) v = 2 mask b + mu (K*y - uv), pointwise
-        v = (b2 + mu * (ky - uv)) / v_den
+        fv = np.subtract(fky, fuv, out=fv_buf)
+        if assume_full:
+            fv *= mu / (2.0 + mu)
+            fv += fb2
+        else:
+            v = sfft.irfft2(fv, s=grid, overwrite_x=True)
+            v *= mu
+            v += b2
+            v /= v_den
+            fv = sfft.rfft2(v)
         # y: (mu K'K + rho) y = mu K'(v + uv) + rho (pad(I) - uy)
-        fy = (fk_adj * sfft.rfft2(v + uv)
-              + rho * sfft.rfft2(padded - uy)) / y_den
-        y = sfft.irfft2(fy, s=grid)
-        ky = sfft.irfft2(fk * fy, s=grid)
-        gi = _grad(new)
-        g = soft_threshold(gi - ug, cfg.lam / rho)
-        # primal residuals of the three splits, which update the duals
-        rv, ry, rg = v - ky, y - padded, g - gi
-        uv = uv + rv
-        uy = uy + ry
-        ug = ug + rg
-        scale = max(np.linalg.norm(new), 1e-30)
-        change = np.linalg.norm(new - img) / scale if img is not None else np.inf
-        resid = np.linalg.norm([np.linalg.norm(rv), np.linalg.norm(ry),
-                                np.linalg.norm(rg)]) / scale
+        fy = np.add(fv, fuv, out=fy_buf)
+        fy *= wv
+        np.subtract(fpad, fuy, out=tmp)
+        tmp *= wp
+        fy += tmp
+        fky = np.multiply(fk, fy, out=fky_buf)
+        # g = shrink(grad(I) - ug) at lam / rho, shrink(d) = d - clip(d); the
+        # dual update ug + g - grad(I) is then clip(ug - grad(I))
+        _grad(new, gi)
+        m = np.subtract(ug, gi, out=gsum)
+        np.clip(m, -thr, thr, out=ug)
+        g = np.subtract(ug, m, out=g_buf)
+        # primal residuals of the v and y splits, which update their duals
+        rv = np.subtract(fv, fky, out=fv)
+        ry = np.subtract(fy, fpad, out=fpad)
+        fuv += rv
+        fuy += ry
+        if cfg.tol > 0 and img is not None:
+            rg = g - gi
+            scale = max(np.linalg.norm(new), 1e-30)
+            change = np.linalg.norm(new - img) / scale
+            resid = math.sqrt(_grid_sq_norm(rv, grid) + _grid_sq_norm(ry, grid)
+                              + np.vdot(rg, rg)) / scale
+            converged = max(change, resid) < cfg.tol
         img = new
         it += 1
-        if max(change, resid) < cfg.tol:
-            converged = True
+        if converged:
             break
-    return TvResult(img, it, converged, AdmmState(y, ky, g, uy, uv, ug))
+    return TvResult(img, it, converged, AdmmState(fy, fky, g, fuy, fuv, ug))
