@@ -7,9 +7,8 @@ since it depends only on B. The kernel step is a simplex-constrained QP, the
 image step is TV deconvolution.
 """
 
-import copy
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -26,6 +25,10 @@ from .tensorops import conv2d_full  # noqa: F401
 from .tv import TvSolverConfig, total_variation, tv_deconv
 
 OBJECTIVE_SLACK = 1e-6
+# blind_deblur converges once the kernel moves by less than K_TOL (Frobenius)
+# and the objective by less than OBJ_REL_TOL relative, in one outer iteration
+K_TOL = 1e-6
+OBJ_REL_TOL = 1e-8
 # ADMM iterations per image step. The solver state carries over between
 # outer iterations, so the alternation interleaves one ADMM run with exact
 # kernel steps; a fixed count keeps that map the same at every outer
@@ -43,6 +46,12 @@ LAM_START = 30.0
 LAM_DECAY = 0.5
 
 
+def sample_size(m, s=None):
+    """Spectrum probe size for a kernel of size m: s, or ceil(1.5 m) when s
+    is None."""
+    return math.ceil(1.5 * m) if s is None else s
+
+
 @dataclass
 class DeblurConfig:
     m1: int
@@ -54,10 +63,6 @@ class DeblurConfig:
     feature: str = "log"
     log_sigma: float = 1.0
     max_outer: int = 150
-    k_tol: float = 1e-6
-    obj_rel_tol: float = 1e-8
-    qp_tol: float = 1e-8
-    qp_max_iter: int = 10000    # working-set changes per kernel step
     spectrum_method: str = "svd"
     assume_full: bool = True    # False: B is a same-size (cropped) observation
 
@@ -66,10 +71,10 @@ class DeblurConfig:
             raise ValueError("kernel sizes must be >= 1")
         if self.alpha < 0 or self.lam < 0:
             raise ValueError("alpha and lam must be nonnegative")
-        if self.s1 is None:
-            self.s1 = math.ceil(1.5 * self.m1)
-        if self.s2 is None:
-            self.s2 = math.ceil(1.5 * self.m2)
+        self.s1 = sample_size(self.m1, self.s1)
+        self.s2 = sample_size(self.m2, self.s2)
+        if self.s1 < 1 or self.s2 < 1:
+            raise ValueError("sampling sizes must be >= 1")
 
     def filter(self):
         return get_filter(self.feature, self.log_sigma)
@@ -115,11 +120,11 @@ def kstep(b, img, hess, alpha, tol=1e-8, max_iter=10000, x0=None, crop=False):
     return devectorize(sol.point, m1, m2), sol
 
 
-def estimate_kernel(spec, m1, m2, tol=1e-8, max_iter=10000):
+def estimate_kernel(spec, m1, m2):
     """Direct kernel estimate: minimize h(K) alone over the simplex (no
     latent-image knowledge). Returns (kernel, hessian, qp solution)."""
     hess = build_hessian(spec, m1, m2)
-    sol = solve_qp(QpProblem(hess.matrix), tol=tol, max_iter=max_iter)
+    sol = solve_qp(QpProblem(hess.matrix))
     return devectorize(sol.point, m1, m2), hess, sol
 
 
@@ -169,8 +174,7 @@ def blind_deblur(b, cfg, spectrum=None, hessian=None):
     state = None
     lam_factor = 1.0
     for it in range(1, cfg.max_outer + 1):
-        k_new, _ = kstep(b, img, hess, cfg.alpha, tol=cfg.qp_tol,
-                         max_iter=cfg.qp_max_iter, x0=vectorize(k), crop=crop)
+        k_new, _ = kstep(b, img, hess, cfg.alpha, x0=vectorize(k), crop=crop)
         if not crop:
             lam_factor = max(1.0, LAM_START * LAM_DECAY ** (it - 1))
         tv_cfg = TvSolverConfig(lam=cfg.lam * lam_factor,
@@ -191,8 +195,7 @@ def blind_deblur(b, cfg, spectrum=None, hessian=None):
         trace.append(obj)
         if prev_obj is not None:
             rel = abs(prev_obj - obj) / max(abs(prev_obj), 1e-30)
-            if (k_change < cfg.k_tol and rel < cfg.obj_rel_tol
-                    and lam_factor == 1.0):
+            if k_change < K_TOL and rel < OBJ_REL_TOL and lam_factor == 1.0:
                 converged = True
                 break
         prev_obj = obj
@@ -205,12 +208,13 @@ def impulse_distance(k):
     return float(np.sqrt(max(np.sum(k * k) - 2.0 * k.max() + 1.0, 0.0)))
 
 
-def alpha_sweep(b, cfg, alphas, spectrum=None, hessian=None, feature_sharpness=True):
-    """Run blind_deblur per alpha; report distance of the estimated kernel
-    from an impulse and the restored image's sharpness, exposing the
-    no-blur threshold."""
+def alpha_sweep(b, cfg, alphas, spectrum=None, hessian=None):
+    """Run blind_deblur per alpha, each replacing cfg.alpha; report distance
+    of the estimated kernel from an impulse and the restored image's
+    sharpness, exposing the no-blur threshold."""
     if len(alphas) == 0:
         raise ValueError("alpha list is empty")
+    cfgs = [replace(cfg, alpha=float(a)) for a in alphas]
     b = as_image(b)
     if spectrum is None:
         spectrum = conv_spectrum(b, cfg.filter(), cfg.s1, cfg.s2,
@@ -218,21 +222,17 @@ def alpha_sweep(b, cfg, alphas, spectrum=None, hessian=None, feature_sharpness=T
     if hessian is None:
         hessian = build_hessian(spectrum, cfg.m1, cfg.m2)
     rows = []
-    for a in alphas:
-        c = copy.deepcopy(cfg)
-        c.alpha = float(a)
+    for c in cfgs:
         res = blind_deblur(b, c, spectrum=spectrum, hessian=hessian)
-        row = {
-            "alpha": float(a),
+        spec_i = conv_spectrum(res.image, cfg.filter(), cfg.s1, cfg.s2,
+                               method=cfg.spectrum_method)
+        rows.append({
+            "alpha": c.alpha,
             "impulse_distance": impulse_distance(res.kernel),
+            "sharpness": spec_i.sigma_min,
             "iterations": res.iterations,
             "converged": res.converged,
             "objective": res.trace[-1] if res.trace else float("nan"),
             "result": res,
-        }
-        if feature_sharpness:
-            spec_i = conv_spectrum(res.image, cfg.filter(), cfg.s1, cfg.s2,
-                                   method=cfg.spectrum_method)
-            row["sharpness"] = spec_i.sigma_min
-        rows.append(row)
+        })
     return rows

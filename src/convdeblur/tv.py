@@ -55,13 +55,16 @@ class TvSolverConfig:
 class AdmmState:
     """Split and scaled dual variables of the solver. All but the gradient
     pair live on the full-convolution grid and are held as its rfft2
-    half-spectra; the gradient pair is real, on I's grid."""
+    half-spectra; the gradient pair is real, on I's grid. grid is that
+    grid's shape, which the half-spectra alone do not fix: widths 2j and
+    2j + 1 both give j + 1 columns."""
     pad: np.ndarray         # y = pad(I)
     blur: np.ndarray        # K*y for the kernel of the call that returned it
     grad: np.ndarray        # g = grad(I), shape (2, n1, n2)
     pad_dual: np.ndarray
     data_dual: np.ndarray
     grad_dual: np.ndarray
+    grid: tuple
 
 
 @dataclass(frozen=True)
@@ -187,8 +190,8 @@ def tv_deconv(b, k, cfg=None, assume_full=True, x0=None, state=None):
         y[:n1, :n2] = img
         fy = sfft.rfft2(y)
         state = AdmmState(fy, fk * fy, _grad(img), np.zeros_like(fy),
-                          np.zeros_like(fy), np.zeros((2, n1, n2)))
-    elif state.pad.shape != fk.shape or state.grad.shape != (2, n1, n2):
+                          np.zeros_like(fy), np.zeros((2, n1, n2)), grid)
+    elif state.grid != grid or state.grad.shape != (2, n1, n2):
         raise ValueError("solver state does not match the problem size")
     fy, fky, g = state.pad, state.blur, state.grad
     # private copies, as the duals are updated in place
@@ -252,4 +255,5 @@ def tv_deconv(b, k, cfg=None, assume_full=True, x0=None, state=None):
         it += 1
         if converged:
             break
-    return TvResult(img, it, converged, AdmmState(fy, fky, g, fuy, fuv, ug))
+    return TvResult(img, it, converged, AdmmState(fy, fky, g, fuy, fuv, ug,
+                                                    grid))

@@ -139,6 +139,8 @@ class TestBlindDeblur:
             DeblurConfig(m1=0, m2=5)
         with pytest.raises(ValueError):
             DeblurConfig(m1=5, m2=5, alpha=-1.0)
+        with pytest.raises(ValueError, match="sampling sizes"):
+            DeblurConfig(m1=5, m2=5, s1=0)
 
     def test_default_sampling_sizes(self):
         cfg = DeblurConfig(m1=9, m2=9)
@@ -172,3 +174,13 @@ class TestAlphaSweep:
         cfg = DeblurConfig(m1=5, m2=5, s1=8, s2=8)
         with pytest.raises(ValueError):
             alpha_sweep(b, cfg, [], spectrum=spec, hessian=hess)
+
+    def test_negative_alpha_rejected_before_any_run(self, case, monkeypatch):
+        _, _, b, spec, hess = case
+        runs = []
+        monkeypatch.setattr(blind, "blind_deblur",
+                            lambda *args, **kwargs: runs.append(args))
+        cfg = DeblurConfig(m1=5, m2=5, s1=8, s2=8)
+        with pytest.raises(ValueError, match="nonnegative"):
+            alpha_sweep(b, cfg, [0.1, -1.0], spectrum=spec, hessian=hess)
+        assert runs == []

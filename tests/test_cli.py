@@ -231,3 +231,91 @@ def test_determinism_byte_identical(runner, blurry_pgm, tmp_path):
         assert r.exit_code == 0, r.output
         outs.append((out / "spectrum.csv").read_bytes())
     assert outs[0] == outs[1]
+
+
+def test_sweep_empty_alpha_list_is_a_validation_error(runner, blurry_pgm,
+                                                      tmp_path):
+    r = runner.invoke(main, ["sweep", blurry_pgm, "--kernel-size", "5",
+                             "--alphas", ",", "-o", str(tmp_path)])
+    assert r.exit_code == 2, r.output
+    assert "alpha list is empty" in r.stderr
+
+
+
+@pytest.mark.parametrize("command", [
+    ["estimate-kernel"],
+    ["deblur", "--alpha", "0.1", "--max-iters", "1"],
+    ["sweep", "--alphas", "0.1", "--max-iters", "1"],
+], ids=["estimate-kernel", "deblur", "sweep"])
+def test_zero_sample_size_is_a_validation_error(runner, blurry_pgm, tmp_path,
+                                                command):
+    # 0 is not "unset": it must not fall back to the default ceil(1.5 m)
+    r = runner.invoke(main, [command[0], blurry_pgm, *command[1:],
+                             "--kernel-size", "5", "--sample-size", "0",
+                             "--method", "gram", "-o", str(tmp_path)])
+    assert r.exit_code == 2, r.output
+    assert "sampling sizes must be >= 1" in r.stderr
+
+
+def test_bad_config_line_is_a_validation_error(runner, blurry_pgm, tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("sample-size 4\n")
+    r = runner.invoke(main, ["spectrum", blurry_pgm, "--config", str(cfg),
+                             "-o", str(tmp_path)])
+    assert r.exit_code == 2
+    assert "bad config line" in r.stderr
+
+
+def test_config_keys_are_flag_names(runner, tmp_path):
+    # --lambda's parameter is named lam; the config key is the flag name
+    img = make_test_image("polygons", 32, seed=2)
+    k = make_kernel("gaussian", 5, {"sigma": 1.0})
+    b, _ = synth_blur(img, k)
+    save_image(tmp_path / "b.pgm", b)
+    save_kernel_txt(tmp_path / "k.txt", k)
+    (tmp_path / "run.cfg").write_text("lambda=0.02\n")
+    restored = {}
+    for name, args in [("default", []), ("flag", ["--lambda", "0.02"]),
+                       ("config", ["--config", str(tmp_path / "run.cfg")])]:
+        r = runner.invoke(main, ["deconv", str(tmp_path / "b.pgm"),
+                                 str(tmp_path / "k.txt"), *args,
+                                 "-o", str(tmp_path / name)])
+        assert r.exit_code == 0, r.output
+        restored[name] = (tmp_path / name / "restored.pgm").read_bytes()
+    assert restored["config"] == restored["flag"] != restored["default"]
+
+
+def test_case_cfg_reproduces_the_case(runner, tmp_path):
+    # case.cfg holds synth's options by flag name, a repeated kernel-param
+    # line per item, so feeding it back rebuilds the case bit for bit
+    r = runner.invoke(main, ["synth", "--image", "bars", "--size", "32",
+                             "--kernel-family", "motion-line",
+                             "--kernel-size", "7", "--kernel-param",
+                             "angle=30", "--kernel-param", "length=5",
+                             "--noise", "0.05", "--seed", "2",
+                             "-o", str(tmp_path / "a")])
+    assert r.exit_code == 0, r.output
+    cfg = (tmp_path / "a" / "case.cfg").read_text()
+    assert "image=bars\n" in cfg and "kernel-param=length=5\n" in cfg
+    r = runner.invoke(main, ["synth", "--config", str(tmp_path / "a" / "case.cfg"),
+                             "-o", str(tmp_path / "b")])
+    assert r.exit_code == 0, r.output
+    for name in ("blurry.npy", "kernel_true.txt", "case.cfg"):
+        assert ((tmp_path / "a" / name).read_bytes()
+                == (tmp_path / "b" / name).read_bytes()), name
+
+
+def test_readme_lists_every_subcommand():
+    # the README's command table names exactly the registered subcommands
+    with open(os.path.join(os.path.dirname(__file__), os.pardir,
+                           "README.md")) as fh:
+        readme = fh.read()
+    section = readme.split("## Command-line interface")[1].split("\n#")[0]
+    listed = set()
+    for line in section.splitlines():
+        if line.startswith("| `"):
+            words = line.split("`")[1].split()
+            listed.add(" ".join(words[:2]) if words[0] == "repro" else words[0])
+    registered = set(main.commands) - {"repro"}
+    registered |= {f"repro {name}" for name in main.commands["repro"].commands}
+    assert listed == registered

@@ -199,6 +199,11 @@ class TestTvDeconv:
         with pytest.raises(ValueError):
             tv_deconv(b[2:-2, 2:-2], k, cfg, assume_full=assume_full,
                       state=first.state)
+        # a kernel one column wider: for cropped data the grid is 36 x 37 in
+        # place of 36 x 36, with half-spectra of the same 19 columns
+        with pytest.raises(ValueError, match="solver state"):
+            tv_deconv(b, np.full((5, 6), 1.0 / 30), cfg,
+                      assume_full=assume_full, state=first.state)
 
     @pytest.mark.parametrize("case", ["cold", "resume", "tol"])
     @pytest.mark.parametrize("assume_full", [True, False],
@@ -236,7 +241,7 @@ class TestTvDeconv:
         b, k, k2 = blurred_pair(assume_full)
         cfg = TvSolverConfig(lam=0.0015, max_inner=10, tol=1e-12)
         state = tv_deconv(b, k, cfg, assume_full=assume_full).state
-        before = {f.name: getattr(state, f.name).copy()
+        before = {f.name: np.copy(getattr(state, f.name))
                   for f in dataclasses.fields(state)}
         tv_deconv(b, k2, cfg, assume_full=assume_full, state=state)
         for name, arr in before.items():
