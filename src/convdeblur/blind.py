@@ -17,11 +17,11 @@ from .regularizer import build_hessian, h_value
 from .simplex_qp import QpProblem, solve_qp
 from .spectral import conv_spectrum
 from .tensorops import (_fft_conv_full, as_image, central_window, devectorize,
-                        toeplitz, toeplitz_apply_adjoint, toeplitz_gram,
-                        vectorize)
-# Not used here: the traced benchmark run (perfbench/tracing.py) wraps this
-# name and requires it to exist.
-from .tensorops import conv2d_full  # noqa: F401
+                        toeplitz_apply_adjoint, toeplitz_gram,
+                        toeplitz_row_blocks, vectorize)
+# Not used here: the traced benchmark run (perfbench/tracing.py) wraps these
+# names and requires them to exist.
+from .tensorops import conv2d_full, toeplitz  # noqa: F401
 from .tv import TvSolverConfig, total_variation, tv_deconv
 
 OBJECTIVE_SLACK = 1e-6
@@ -44,6 +44,8 @@ IMAGE_STEP_ITERS = 20
 # below the no-blur threshold in alpha away from the impulse.
 LAM_START = 30.0
 LAM_DECAY = 0.5
+# Toeplitz rows per block of the cropped kernel step's Gram sums
+CROP_BLOCK_ROWS = 1024
 
 
 def sample_size(m, s=None):
@@ -63,7 +65,7 @@ class DeblurConfig:
     feature: str = "log"
     log_sigma: float = 1.0
     max_outer: int = 150
-    spectrum_method: str = "svd"
+    spectrum_method: str = "gram"
     assume_full: bool = True    # False: B is a same-size (cropped) observation
 
     def __post_init__(self):
@@ -96,8 +98,8 @@ def kstep(b, img, hess, alpha, tol=1e-8, max_iter=10000, x0=None, crop=False):
     crop=False: B is the full-convolution output of img; the Gram matrix and
     adjoint product of A(I) are formed directly by FFT correlation.
     crop=True: B and img share a shape and only the central window of the
-    convolution is observed; the cropped Toeplitz rows are built explicitly
-    (desk-scale sizes keep this cheap)."""
+    convolution is observed; the Gram matrix and adjoint product of the
+    window's Toeplitz rows are summed over blocks of CROP_BLOCK_ROWS rows."""
     b = as_image(b)
     img = as_image(img)
     m1, m2 = hess.m1, hess.m2
@@ -105,11 +107,12 @@ def kstep(b, img, hess, alpha, tol=1e-8, max_iter=10000, x0=None, crop=False):
         if b.shape != img.shape:
             raise ValueError("cropped mode requires B and I of equal shape")
         full = (img.shape[0] + m1 - 1, img.shape[1] + m2 - 1)
-        s1, s2 = central_window(full, b.shape)
-        a = toeplitz(img, m1, m2).reshape(full[0], full[1], m1 * m2)
-        a = a[s1, s2].reshape(b.size, m1 * m2)
-        q = a.T @ a
-        c = -2.0 * (a.T @ b.ravel())
+        q = np.zeros((m1 * m2, m1 * m2))
+        c = np.zeros(m1 * m2)
+        for rows, blk in toeplitz_row_blocks(img, m1, m2, CROP_BLOCK_ROWS,
+                                             central_window(full, b.shape)):
+            q += blk.T @ blk
+            c -= 2.0 * (blk.T @ b[rows].ravel())
     else:
         if b.shape != (img.shape[0] + m1 - 1, img.shape[1] + m2 - 1):
             raise ValueError("blurry/latent/kernel sizes are inconsistent")

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import blind, imgio, metrics, synth
 from .features import get_filter
-from .spectral import conv_spectrum
+from .spectral import GRAM_MIN_RATIO, conv_spectrum
 from .tensorops import central_window
 from .tv import TvSolverConfig, tv_deconv
 
@@ -42,11 +42,15 @@ def read_config(path):
 
 
 def apply_config(ctx, path):
-    """Fill params whose value came from their default with config values."""
-    cfg = read_config(path)
-    for param in ctx.command.params:
-        values = cfg.get(max(param.opts, key=len).lstrip("-"))
-        if values and ctx.get_parameter_source(param.name) == click.core.ParameterSource.DEFAULT:
+    """Fill params whose value came from their default with config values.
+    A key that names no option of the command is a ValueError."""
+    params = {max(param.opts, key=len).lstrip("-"): param
+              for param in ctx.command.params}
+    for key, values in read_config(path).items():
+        param = params.get(key)
+        if param is None:
+            raise ValueError(f"unknown config key {key!r}")
+        if ctx.get_parameter_source(param.name) == click.core.ParameterSource.DEFAULT:
             ctx.params[param.name] = param.type_cast_value(
                 ctx, values if param.multiple else values[-1])
 
@@ -77,7 +81,11 @@ FEATURE = (
     click.option("--feature", type=click.Choice(["delta", "log"]), default="log"),
     click.option("--log-sigma", type=float, default=1.0),
 )
-METHOD = click.option("--method", type=click.Choice(["svd", "gram"]), default="svd")
+METHOD = click.option("--method", type=click.Choice(["svd", "gram"]),
+                      default="gram", show_default=True,
+                      help="gram: FFT Gram matrix, warns when sigma_min / "
+                           f"sigma_max < {GRAM_MIN_RATIO:g}; svd: streamed "
+                           "QR, the accurate reference")
 LAMBDA = click.option("--lambda", "lam", type=float, default=0.0015)
 CROPPED = click.option("--cropped", is_flag=True,
                        help="treat IMAGE as a cropped observation rather than "
@@ -135,7 +143,7 @@ def subcommand(group, name, *options):
     return register
 
 
-def spectrum_of(img, s, feature="log", log_sigma=1.0, method="svd"):
+def spectrum_of(img, s, feature="log", log_sigma=1.0, method="gram"):
     """Convolution spectrum of img on s x s probes under the named filter."""
     return conv_spectrum(img, get_filter(feature, log_sigma), s, s, method)
 
@@ -282,7 +290,8 @@ def synth_cmd(image_kind, size, kernel_size, seed, kernel_family,
             click.option("--case", "case_dir", type=click.Path(exists=True),
                          required=True,
                          help="directory produced by the synth command"),
-            click.option("--kernel-size", type=int, default=None,
+            click.option("--kernel-size", type=click.IntRange(min=1),
+                         default=None,
                          help="estimation size (default: true size)"),
             *FEATURE, LAMBDA)
 def eval_cmd(case_dir, kernel_size, feature, log_sigma, lam, out):
@@ -291,7 +300,7 @@ def eval_cmd(case_dir, kernel_size, feature, log_sigma, lam, out):
     b = np.load(os.path.join(case_dir, "blurry.npy"))
     sharp = np.load(os.path.join(case_dir, "sharp.npy"))
     k_true = imgio.load_kernel_txt(os.path.join(case_dir, "kernel_true.txt"))
-    m = kernel_size or k_true.shape[0]
+    m = k_true.shape[0] if kernel_size is None else kernel_size
     s = blind.sample_size(m)
     spec_b = spectrum_of(b, s, feature, log_sigma)
     spec_i = spectrum_of(sharp, s, feature, log_sigma)

@@ -7,19 +7,24 @@ Neither method forms that operator: 'svd' streams its rows through a QR,
 'gram' diagonalizes its Gram matrix.
 """
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .features import DELTA, apply_filter
-from .tensorops import as_image, toeplitz_gram
+from .tensorops import as_image, toeplitz_gram, toeplitz_row_blocks
 # Not used here: the traced benchmark run (perfbench/tracing.py) wraps this
 # name and requires it to exist.
 from .tensorops import toeplitz  # noqa: F401
 
-# Toeplitz rows per streamed QR block of method 'svd' (whole output rows of
-# the convolution, at least one)
+# Toeplitz rows per streamed QR block of method 'svd', at least 2*s1*s2
+# (whole output rows of the convolution, at least one)
 TSQR_BLOCK_ROWS = 1024
+# Method 'gram' warns below this sigma_min / sigma_max. Its eigenvalues carry
+# an absolute error of about eps * sigma_max^2, a relative sigma error of
+# about eps * (sigma_max / sigma_i)^2: 1% at a ratio of 3.5e-8.
+GRAM_MIN_RATIO = 1e-7
 
 
 @dataclass(frozen=True)
@@ -45,18 +50,12 @@ def _toeplitz_r(x, k1, k2):
     in one at a time, R <- qr([R; block]) (Demmel, Grigori, Hoemmen &
     Langou, SIAM J. Sci. Comput. 2012), so memory holds R and one block
     while the singular values keep full accuracy: R^T R is the Gram matrix,
-    but the Gram matrix itself is never formed.
+    but the Gram matrix itself is never formed. A block has at least twice
+    as many rows as R, so each QR mostly factors new rows.
     """
-    # sliding k1 x k2 windows of the zero-embedded x; the flipped window at
-    # output pixel (i, j) is row (i, j) of the Toeplitz matrix
-    padded = np.pad(x, ((k1 - 1, k1 - 1), (k2 - 1, k2 - 1)))
-    windows = np.lib.stride_tricks.sliding_window_view(padded, (k1, k2))
-    windows = windows[:, :, ::-1, ::-1]
-    out1, out2 = windows.shape[:2]
-    step = max(1, TSQR_BLOCK_ROWS // out2)
     r = np.zeros((0, k1 * k2))
-    for i in range(0, out1, step):
-        block = windows[i:i + step].reshape(-1, k1 * k2)
+    for _, block in toeplitz_row_blocks(
+            x, k1, k2, max(TSQR_BLOCK_ROWS, 2 * k1 * k2)):
         r = np.linalg.qr(np.vstack((r, block)), mode="r")
     return r
 
@@ -75,15 +74,17 @@ def _fix_signs(vecs):
     return vecs * signs[:, None]
 
 
-def conv_spectrum(img, f=DELTA, s1=None, s2=None, method="svd"):
+def conv_spectrum(img, f=DELTA, s1=None, s2=None, method="gram"):
     """All s1*s2 convolution eigenvalue/eigenvector pairs of an image.
 
+    method='gram' diagonalizes the Gram matrix, formed by one FFT
+    correlation; it squares the condition number, so it warns
+    (RuntimeWarning) when sigma_min / sigma_max falls below GRAM_MIN_RATIO.
     method='svd' takes the SVD of the triangular factor of a streamed QR of
-    the Toeplitz matrix (numerically preferable: no condition-number
-    squaring); method='gram' diagonalizes the Gram matrix, formed by FFT
-    correlation, which is cheaper for large images. Each eigenvector's sign
-    is fixed by _fix_signs, so both methods return the same vectors where
-    the eigenvalues are well separated.
+    the Toeplitz matrix: the accurate reference, at a cost that grows with
+    pixels times (s1*s2)^2. Each eigenvector's sign is fixed by _fix_signs,
+    so both methods return the same vectors where the eigenvalues are well
+    separated.
     """
     img = as_image(img)
     if s1 is None or s2 is None:
@@ -103,18 +104,25 @@ def conv_spectrum(img, f=DELTA, s1=None, s2=None, method="svd"):
         order = np.argsort(w)[::-1]
         sig = np.sqrt(np.clip(w[order], 0.0, None))
         vecs = v[:, order].T
+        ratio = sig[-1] / sig[0]
+        if ratio < GRAM_MIN_RATIO:
+            warnings.warn(
+                f"sigma_min / sigma_max = {ratio:.2g} is below "
+                f"{GRAM_MIN_RATIO:g}: method 'gram' loses the relative "
+                "accuracy of the smallest sigmas; method='svd' keeps it",
+                RuntimeWarning, stacklevel=2)
     else:
         raise ValueError(f"unknown method {method!r}")
     vecs = _fix_signs(vecs)
     return ConvSpectrum(s1, s2, sig, vecs.reshape(s1 * s2, s1, s2))
 
 
-def sharpness(img, f=DELTA, s1=None, s2=None, method="svd"):
+def sharpness(img, f=DELTA, s1=None, s2=None, method="gram"):
     """Smallest convolution eigenvalue; large values mean a sharp image."""
     return conv_spectrum(img, f, s1, s2, method).sigma_min
 
 
-def conv_condition(img, f=DELTA, s1=None, s2=None, method="svd"):
+def conv_condition(img, f=DELTA, s1=None, s2=None, method="gram"):
     """sigma_max / sigma_min of the image's convolution spectrum (>= 1)."""
     spec = conv_spectrum(img, f, s1, s2, method)
     return spec.sigma_max / spec.sigma_min

@@ -7,8 +7,9 @@ Direct convolutions are sums of shifted slices of the larger operand, one per
 entry of the smaller one, so their cost is output size times the smaller
 operand whatever the argument order. Products with the Toeplitz operator of
 an image (its Gram matrix, its adjoint) go through FFT correlation;
+`toeplitz_row_blocks` streams the operator's rows a block at a time, and
 `toeplitz` builds the explicit matrix, whose size grows with pixels times
-probe size.
+probe size (tests use it as the reference).
 """
 
 import numpy as np
@@ -111,6 +112,26 @@ def toeplitz(x, k1, k2):
         for v in range(k2):
             a[u:u + l1, v:v + l2, u, v] = x
     return a.reshape(out1 * out2, k1 * k2)
+
+
+def toeplitz_row_blocks(x, k1, k2, block_rows,
+                        window=(slice(None), slice(None))):
+    """Row blocks of toeplitz(x, k1, k2), generated from x on the fly.
+
+    window is a pair of slices of the (l1+k1-1) x (l2+k2-1) output grid
+    (default: all of it). Yields (rows, block): rows slices the window's
+    output rows and block holds their Toeplitz rows, row-major, about
+    block_rows of them (whole output rows, at least one).
+    """
+    # the flipped k1 x k2 window of the zero-embedded x at output pixel
+    # (i, j) is row (i, j) of the Toeplitz matrix
+    padded = np.pad(x, ((k1 - 1, k1 - 1), (k2 - 1, k2 - 1)))
+    windows = np.lib.stride_tricks.sliding_window_view(padded, (k1, k2))
+    windows = windows[window][:, :, ::-1, ::-1]
+    out1, out2 = windows.shape[:2]
+    step = max(1, block_rows // out2)
+    for i in range(0, out1, step):
+        yield slice(i, i + step), windows[i:i + step].reshape(-1, k1 * k2)
 
 
 def lag_gram(lags, k1, k2):

@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -42,6 +43,37 @@ class TestKstep:
         c = -2.0 * (a.T @ b.ravel())
         sol = solve_qp(QpProblem(0.5 * (q + q.T), c))
         assert np.linalg.norm(vectorize(k_fast) - sol.point) < 1e-6
+
+    def test_cropped_gram_matches_explicit_toeplitz(self, case, monkeypatch):
+        # the QP of a cropped kstep, summed over row blocks of the window,
+        # is that of the explicit Toeplitz rows of the window
+        img, _, b, _, hess = case
+        window = b[2:50, 2:50]
+        problems = []
+        real = blind.solve_qp
+        monkeypatch.setattr(blind, "solve_qp",
+                            lambda p, **kw: problems.append(p) or real(p, **kw))
+        kstep(window, img, hess, alpha=0.1, crop=True)
+        a = toeplitz(img, 5, 5).reshape(52, 52, 25)[2:50, 2:50].reshape(-1, 25)
+        q = a.T @ a + 0.1 * hess.matrix
+        c = -2.0 * (a.T @ window.ravel())
+        (p,) = problems
+        assert np.linalg.norm(p.q - q) <= 1e-12 * np.linalg.norm(q)
+        assert np.linalg.norm(p.c - c) <= 1e-12 * np.linalg.norm(c)
+
+    def test_cropped_memory_is_independent_of_operator_size(self):
+        # the explicit 268^2 x 169 Toeplitz matrix alone would take 97 MB
+        img = make_test_image("polygons", 256, seed=1)
+        k0 = make_kernel("gaussian", 13, {"sigma": 2.0})
+        b = synth_blur(img, k0)[0][6:262, 6:262]
+        hess = build_hessian(conv_spectrum(b, make_log(1.0), 20, 20), 13, 13)
+        tracemalloc.start()
+        try:
+            kstep(b, img, hess, alpha=0.1, crop=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16e6
 
     def test_cropped_mode_identity_fit(self, case):
         # with a same-size observation equal to the latent, the impulse fits

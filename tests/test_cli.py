@@ -150,6 +150,20 @@ def test_eval_with_another_kernel_size(runner, tmp_path):
     assert load_kernel_txt(out / "kernel_estimated.txt").shape == (3, 3)
 
 
+@pytest.mark.parametrize("size", ["0", "-1"])
+def test_eval_kernel_size_below_one_is_a_validation_error(runner, tmp_path,
+                                                          size):
+    # 0 is not "unset": it must not fall back to the true size
+    case = tmp_path / "case"
+    r = runner.invoke(main, ["synth", "--size", "32", "--kernel-size", "3",
+                             "-o", str(case)])
+    assert r.exit_code == 0, r.output
+    r = runner.invoke(main, ["eval", "--case", str(case), "--kernel-size",
+                             size, "-o", str(tmp_path / "eval")])
+    assert r.exit_code == 2, r.output
+    assert "--kernel-size" in r.stderr
+
+
 def test_sweep_command(runner, blurry_pgm, tmp_path):
     out = tmp_path / "o"
     r = runner.invoke(main, ["sweep", blurry_pgm, "--kernel-size", "5",
@@ -264,6 +278,20 @@ def test_bad_config_line_is_a_validation_error(runner, blurry_pgm, tmp_path):
                              "-o", str(tmp_path)])
     assert r.exit_code == 2
     assert "bad config line" in r.stderr
+
+
+def test_unknown_config_key_is_a_validation_error(runner, blurry_pgm,
+                                                  tmp_path):
+    # lam is --lambda's parameter name, not a flag name: it must not be
+    # dropped silently, running at the default lambda
+    save_kernel_txt(tmp_path / "k.txt", make_kernel("gaussian", 5, {"sigma": 1.0}))
+    (tmp_path / "run.cfg").write_text("lam=0.01\n")
+    r = runner.invoke(main, ["deconv", blurry_pgm, str(tmp_path / "k.txt"),
+                             "--config", str(tmp_path / "run.cfg"),
+                             "-o", str(tmp_path / "o")])
+    assert r.exit_code == 2, r.output
+    assert "unknown config key 'lam'" in r.stderr
+    assert not (tmp_path / "o" / "restored.pgm").exists()
 
 
 def test_config_keys_are_flag_names(runner, tmp_path):

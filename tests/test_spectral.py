@@ -1,8 +1,13 @@
+import inspect
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
 
+from convdeblur import cli
+from convdeblur.blind import DeblurConfig, estimate_kernel
 from convdeblur.features import DELTA, apply_filter, make_log
 from convdeblur.spectral import (conv_condition, conv_spectrum, sharpness)
 from convdeblur.synth import make_kernel, make_test_image, synth_blur
@@ -23,7 +28,8 @@ class TestConvSpectrum:
         assert np.allclose(spec.sigmas, ref, rtol=1e-12)
 
     @pytest.mark.parametrize("case", ["ill-conditioned LoG", "non-square",
-                                      "probe larger than image"])
+                                      "probe larger than image",
+                                      "probe above half a QR block"])
     def test_svd_matches_explicit_toeplitz_svd(self, case):
         f = make_log(1.0)
         if case == "ill-conditioned LoG":
@@ -33,14 +39,18 @@ class TestConvSpectrum:
         elif case == "non-square":
             img = np.random.default_rng(4).uniform(size=(23, 9))
             s1, s2 = 5, 7
-        else:
+        elif case == "probe larger than image":
             img = np.random.default_rng(5).uniform(size=(3, 4))
             f, s1, s2 = DELTA, 6, 5
+        else:
+            # 2 * s1 * s2 = 1058 rows per streamed QR block, not 1024
+            img = np.random.default_rng(6).uniform(size=(30, 30))
+            f, s1, s2 = DELTA, 23, 23
         ref = np.linalg.svd(toeplitz(apply_filter(f, img), s1, s2),
                             compute_uv=False)
         if case == "ill-conditioned LoG":
             assert ref[0] / ref[-1] > 1e6
-        spec = conv_spectrum(img, f, s1, s2)
+        spec = conv_spectrum(img, f, s1, s2, method="svd")
         assert np.max(np.abs(spec.sigmas - ref) / ref) <= 1e-10
 
     def test_eigen_pairs_satisfy_definition(self, image):
@@ -116,8 +126,58 @@ def test_svd_spectrum_memory_is_independent_of_operator_size():
     img = make_test_image("polygons", 160, seed=1)
     tracemalloc.start()
     try:
-        conv_spectrum(img, make_log(1.0), 20, 20)
+        conv_spectrum(img, make_log(1.0), 20, 20, method="svd")
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 32e6
+
+
+def test_gram_is_the_default():
+    for fn in (conv_spectrum, sharpness, conv_condition, cli.spectrum_of):
+        assert inspect.signature(fn).parameters["method"].default == "gram"
+    assert DeblurConfig(m1=3, m2=3).spectrum_method == "gram"
+    for command in ("spectrum", "estimate-kernel", "deblur", "sweep"):
+        r = CliRunner().invoke(cli.main, [command, "--help"])
+        assert r.exit_code == 0, r.output
+        assert "[default: gram]" in " ".join(r.output.split())
+
+
+@pytest.fixture(scope="module")
+def smooth_blur():
+    """Criterion 6's noiseless seed-0 Gaussian case: its sharp and blurry
+    images, whose LoG spectra on 14 x 14 probes have sigma_min / sigma_max
+    of 4.1e-4 and 3.5e-8."""
+    img = make_test_image("polygons", 128, seed=0)
+    b, _ = synth_blur(img, make_kernel("gaussian", 9, {"sigma": 1.8}, seed=0))
+    return img, b
+
+
+def test_gram_warns_below_min_ratio(smooth_blur):
+    with pytest.warns(RuntimeWarning,
+                      match=r"sigma_min / sigma_max = 3\.5e-08.*method='svd'"):
+        conv_spectrum(smooth_blur[1], make_log(1.0), 14, 14, method="gram")
+
+
+def test_gram_is_silent_on_a_sharp_image(smooth_blur):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        conv_spectrum(smooth_blur[0], make_log(1.0), 14, 14, method="gram")
+
+
+def test_svd_never_warns(smooth_blur):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        conv_spectrum(smooth_blur[1], make_log(1.0), 14, 14, method="svd")
+
+
+def test_gram_and_svd_kernels_agree(smooth_blur):
+    # the gram sigmas are off by up to 1.3% at this ratio, the exact-QP
+    # kernel is not
+    with pytest.warns(RuntimeWarning):
+        gram = conv_spectrum(smooth_blur[1], make_log(1.0), 14, 14,
+                             method="gram")
+    svd = conv_spectrum(smooth_blur[1], make_log(1.0), 14, 14, method="svd")
+    k_gram = estimate_kernel(gram, 9, 9)[0]
+    k_svd = estimate_kernel(svd, 9, 9)[0]
+    assert np.linalg.norm(k_gram - k_svd) <= 1e-4 * np.linalg.norm(k_svd)
