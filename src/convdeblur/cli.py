@@ -10,6 +10,7 @@ output root.
 import os
 import sys
 import time
+import warnings
 
 import click
 import numpy as np
@@ -113,6 +114,18 @@ DEBLUR = (*kernel_options(), LAMBDA,
           *FEATURE, METHOD, CROPPED)
 
 
+def _one_line_warnings(show):
+    """A warnings.showwarning that prints a RuntimeWarning as one line and
+    passes any other category to show."""
+    def showwarning(message, category, filename, lineno, file=None,
+                    line=None):
+        if issubclass(category, RuntimeWarning):
+            click.echo(f"warning: {message}", err=True)
+        else:
+            show(message, category, filename, lineno, file, line)
+    return showwarning
+
+
 def subcommand(group, name, *options):
     """Register the decorated body as subcommand `name` of group.
 
@@ -120,7 +133,8 @@ def subcommand(group, name, *options):
     plus --config and -o. It applies the config file, resolves and creates
     the output root, and calls the body with every parameter as a keyword,
     the output root as `out`. ValueError and OSError exit with
-    EXIT_VALIDATION."""
+    EXIT_VALIDATION. A RuntimeWarning prints as one `warning: <message>`
+    line on stderr."""
     def register(body):
         @click.pass_context
         def run(ctx, **_):
@@ -131,7 +145,10 @@ def subcommand(group, name, *options):
                     apply_config(ctx, config)
                 p["out"] = p["out"] or os.environ.get("CONVDEBLUR_OUT") or "."
                 os.makedirs(p["out"], exist_ok=True)
-                body(**p)
+                with warnings.catch_warnings():
+                    warnings.showwarning = _one_line_warnings(
+                        warnings.showwarning)
+                    body(**p)
             except (ValueError, OSError) as exc:
                 click.echo(f"error: {exc}", err=True)
                 sys.exit(EXIT_VALIDATION)
@@ -293,8 +310,8 @@ def synth_cmd(image_kind, size, kernel_size, seed, kernel_family,
             click.option("--kernel-size", type=click.IntRange(min=1),
                          default=None,
                          help="estimation size (default: true size)"),
-            *FEATURE, LAMBDA)
-def eval_cmd(case_dir, kernel_size, feature, log_sigma, lam, out):
+            *FEATURE, METHOD, LAMBDA)
+def eval_cmd(case_dir, kernel_size, feature, log_sigma, method, lam, out):
     """Estimate the kernel of a synthetic case, restore, and report metrics."""
     t0 = time.perf_counter()
     b = np.load(os.path.join(case_dir, "blurry.npy"))
@@ -302,8 +319,8 @@ def eval_cmd(case_dir, kernel_size, feature, log_sigma, lam, out):
     k_true = imgio.load_kernel_txt(os.path.join(case_dir, "kernel_true.txt"))
     m = k_true.shape[0] if kernel_size is None else kernel_size
     s = blind.sample_size(m)
-    spec_b = spectrum_of(b, s, feature, log_sigma)
-    spec_i = spectrum_of(sharp, s, feature, log_sigma)
+    spec_b = spectrum_of(b, s, feature, log_sigma, method)
+    spec_i = spectrum_of(sharp, s, feature, log_sigma, method)
     k_est, _, _ = blind.estimate_kernel(spec_b, m, m)
     restored = tv_deconv(b, k_est, TvSolverConfig(lam=lam)).image
     # an estimation size other than the true one restores an image of
@@ -361,9 +378,9 @@ def repro():
 @subcommand(repro, "fig2", *scene_options(),
             click.option("--kernel-sigma", type=float, default=2.0,
                          help="Gaussian blur kernel width"),
-            click.option("--sample-size", type=int, default=18))
+            click.option("--sample-size", type=int, default=18), METHOD)
 def repro_fig2(image_kind, size, kernel_size, seed, kernel_sigma, sample_size,
-               out):
+               method, out):
     """Spectra of a sharp and Gaussian-blurred image under both features."""
     sharp = load_scene(image_kind, size, seed)
     k = synth.make_kernel("gaussian", kernel_size, {"sigma": kernel_sigma},
@@ -372,8 +389,8 @@ def repro_fig2(image_kind, size, kernel_size, seed, kernel_sigma, sample_size,
     rows = []
     ratios = {}
     for feat in ("delta", "log"):
-        spec_i = spectrum_of(sharp, sample_size, feat)
-        spec_b = spectrum_of(b, sample_size, feat)
+        spec_i = spectrum_of(sharp, sample_size, feat, method=method)
+        spec_b = spectrum_of(b, sample_size, feat, method=method)
         for i in range(sample_size ** 2):
             rows.append((feat, i + 1, float(spec_i.sigmas[i]),
                          float(spec_b.sigmas[i])))
@@ -388,14 +405,14 @@ def repro_fig2(image_kind, size, kernel_size, seed, kernel_sigma, sample_size,
     click.echo(f"ratio delta={ratios['delta']:.4g} log={ratios['log']:.4g}")
 
 
-@subcommand(repro, "fig3", *scene_options())
-def repro_fig3(image_kind, size, kernel_size, seed, out):
+@subcommand(repro, "fig3", *scene_options(), METHOD)
+def repro_fig3(image_kind, size, kernel_size, seed, method, out):
     """Estimate six 9x9 kernels from blurred images alone; tabulate errors
     against the noiseless recovery bound."""
     sharp = load_scene(image_kind, size, seed)
     m = kernel_size
     s = blind.sample_size(m)
-    spec_i = spectrum_of(sharp, s)
+    spec_i = spectrum_of(sharp, s, method=method)
     cases = [
         ("gaussian", {"sigma": m / 5.0}),
         ("gaussian", {"sigma": m / 8.0}),
@@ -408,7 +425,7 @@ def repro_fig3(image_kind, size, kernel_size, seed, out):
     for idx, (family, params) in enumerate(cases):
         k_true = synth.make_kernel(family, m, params, seed=seed + idx)
         b, _ = synth.synth_blur(sharp, k_true)
-        spec_b = spectrum_of(b, s)
+        spec_b = spectrum_of(b, s, method=method)
         k_est, _, _ = blind.estimate_kernel(spec_b, m, m)
         err = synth.kernel_error(k_est, k_true)
         bound = metrics.noiseless_error_bound(spec_b.sigma_max,

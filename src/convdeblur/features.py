@@ -4,7 +4,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .tensorops import as_image, conv2d_full
+from .tensorops import _fft_conv_full, as_image
 
 
 @dataclass(frozen=True)
@@ -49,8 +49,9 @@ def get_filter(name, sigma=1.0):
 
 
 def apply_filter(f, img):
-    """Full-mode convolution of the filter with the image; delta is identity."""
+    """Full-mode convolution of the filter with the image, by FFT; delta is
+    identity (a copy)."""
     img = as_image(img)
     if f.kind == "delta":
         return img.copy()
-    return conv2d_full(f.taps, img)
+    return _fft_conv_full(f.taps, img)

@@ -4,7 +4,8 @@ The convolution eigenvalues of an image under a feature filter are the
 singular values of the Toeplitz operator of the filtered image acting on
 s1 x s2 probes; the eigenvectors are the right singular vectors reshaped.
 Neither method forms that operator: 'svd' streams its rows through a QR,
-'gram' diagonalizes its Gram matrix.
+'gram' diagonalizes its Gram matrix, which equals its own 180-degree
+rotation, as two half-size blocks.
 """
 
 import warnings
@@ -60,6 +61,34 @@ def _toeplitz_r(x, k1, k2):
     return r
 
 
+def _centrosymmetric_eigh(g):
+    """np.linalg.eigh of a symmetric, centrosymmetric n x n matrix g (equal
+    to g[::-1, ::-1]) by two eigensolves of about half its size.
+
+    Index i pairs with n-1-i, the 180-degree rotation of the probe. The
+    eigenvectors are symmetric or antisymmetric under the pairing
+    (Cantoni & Butler, Linear Algebra Appl. 13, 1976): the symmetric ones
+    solve G_ll + G_lh on the first (n+1)//2 indices, the middle one (odd n)
+    scaled by sqrt(2); the antisymmetric ones solve G_ll - G_lh on the
+    first n//2. Returns the eigenvalues, unsorted, and the unit eigenvectors
+    as columns.
+    """
+    n = g.shape[0]
+    h, hs = n // 2, (n + 1) // 2
+    mirrored = g[:hs, ::-1]
+    d = np.ones(hs)
+    d[h:] = np.sqrt(0.5)        # the middle index, if n is odd
+    w_sym, y = np.linalg.eigh((g[:hs, :hs] + mirrored[:, :hs])
+                              * d * d[:, None])
+    w_anti, z = np.linalg.eigh(g[:h, :h] - mirrored[:h, :h])
+    v = np.zeros((n, n))
+    v[:hs, :hs] = y * (np.sqrt(0.5) / d)[:, None]
+    v[:h, hs:] = z * np.sqrt(0.5)
+    v[hs:, :hs] = v[:h, :hs][::-1]
+    v[hs:, hs:] = -v[:h, hs:][::-1]
+    return np.concatenate((w_sym, w_anti)), v
+
+
 def _fix_signs(vecs):
     """Flip each row so its first entry of at least half the row's largest
     magnitude is positive.
@@ -78,8 +107,9 @@ def conv_spectrum(img, f=DELTA, s1=None, s2=None, method="gram"):
     """All s1*s2 convolution eigenvalue/eigenvector pairs of an image.
 
     method='gram' diagonalizes the Gram matrix, formed by one FFT
-    correlation; it squares the condition number, so it warns
-    (RuntimeWarning) when sigma_min / sigma_max falls below GRAM_MIN_RATIO.
+    autocorrelation, in two half-size blocks; it squares the condition
+    number, so it warns (RuntimeWarning) when sigma_min / sigma_max falls
+    below GRAM_MIN_RATIO.
     method='svd' takes the SVD of the triangular factor of a streamed QR of
     the Toeplitz matrix: the accurate reference, at a cost that grows with
     pixels times (s1*s2)^2. Each eigenvector's sign is fixed by _fix_signs,
@@ -99,8 +129,7 @@ def conv_spectrum(img, f=DELTA, s1=None, s2=None, method="gram"):
     if method == "svd":
         _, sig, vecs = np.linalg.svd(_toeplitz_r(feat, s1, s2))
     elif method == "gram":
-        g = toeplitz_gram(feat, s1, s2)
-        w, v = np.linalg.eigh(g)
+        w, v = _centrosymmetric_eigh(toeplitz_gram(feat, s1, s2))
         order = np.argsort(w)[::-1]
         sig = np.sqrt(np.clip(w[order], 0.0, None))
         vecs = v[:, order].T

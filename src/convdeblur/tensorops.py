@@ -5,11 +5,14 @@ row-major everywhere; the Toeplitz row/column ordering is defined by it.
 
 Direct convolutions are sums of shifted slices of the larger operand, one per
 entry of the smaller one, so their cost is output size times the smaller
-operand whatever the argument order. Products with the Toeplitz operator of
-an image (its Gram matrix, its adjoint) go through FFT correlation;
-`toeplitz_row_blocks` streams the operator's rows a block at a time, and
-`toeplitz` builds the explicit matrix, whose size grows with pixels times
-probe size (tests use it as the reference).
+operand whatever the argument order; `_fft_conv_full` is the FFT version.
+Products with the Toeplitz operator of an image (its Gram matrix, its
+adjoint) are FFT correlations on the smallest fast grid on which the lags
+they need do not wrap: l + min(k, l) - 1 for the Gram matrix, whose lags
+past the image are exact zeros, and the right-hand side's size for the
+adjoint. `toeplitz_row_blocks` streams the operator's rows a block at a
+time, and `toeplitz` builds the explicit matrix, whose size grows with
+pixels times probe size (tests use it as the reference).
 """
 
 import numpy as np
@@ -76,10 +79,14 @@ def conv2d_valid(x, y):
     return out
 
 
+def _fast_shape(shape):
+    return [sfft.next_fast_len(n, True) for n in shape]
+
+
 def _fft_conv_full(x, y):
     """Full 2D convolution by real FFTs padded to fast lengths."""
     shape = (x.shape[0] + y.shape[0] - 1, x.shape[1] + y.shape[1] - 1)
-    fshape = [sfft.next_fast_len(n, True) for n in shape]
+    fshape = _fast_shape(shape)
     prod = sfft.rfft2(x, fshape) * sfft.rfft2(y, fshape)
     return sfft.irfft2(prod, fshape)[:shape[0], :shape[1]]
 
@@ -160,17 +167,29 @@ def toeplitz_gram(x, k1, k2):
     """toeplitz(x,k1,k2).T @ toeplitz(x,k1,k2) without forming the operator.
 
     Columns of the Toeplitz matrix are shifted zero-embedded copies of x, so
-    entry ((u,v),(u',v')) is the autocorrelation of x at lag (u-u', v-v').
+    entry ((u,v),(u',v')) is the autocorrelation of x at lag (u-u', v-v'):
+    the inverse transform of |X|^2 on a grid of at least l + r - 1 per axis,
+    on which the lags |d| < r = min(k, l) do not wrap. Lags at or past the
+    size of x are exact zeros, filled in by lag_gram.
     """
     x = as_image(x)
-    return lag_gram(_fft_conv_full(x, x[::-1, ::-1]), k1, k2)
+    r1, r2 = min(k1, x.shape[0]), min(k2, x.shape[1])
+    fshape = _fast_shape((x.shape[0] + r1 - 1, x.shape[1] + r2 - 1))
+    fx = sfft.rfft2(x, fshape)
+    corr = sfft.irfft2(fx.real ** 2 + fx.imag ** 2, fshape)
+    # lags -(r-1) .. r-1 in order, negative ones read from the grid's end
+    lags = corr[np.ix_(np.arange(1 - r1, r1), np.arange(1 - r2, r2))]
+    return lag_gram(lags, k1, k2)
 
 
 def toeplitz_apply_adjoint(x, b, k1, k2):
-    """toeplitz(x,k1,k2).T @ vectorize(b) computed by cross-correlation."""
+    """toeplitz(x,k1,k2).T @ vectorize(b), the cross-correlation of b with x
+    at lags 0..k-1, computed on a grid of at least b.shape, where those lags
+    do not wrap."""
     x = as_image(x)
     b = as_image(b)
     if b.shape != (x.shape[0] + k1 - 1, x.shape[1] + k2 - 1):
         raise ValueError(f"rhs shape {b.shape} inconsistent with operator")
-    full = _fft_conv_full(b, x[::-1, ::-1])
-    return full[central_window(full.shape, (k1, k2))].ravel()
+    fshape = _fast_shape(b.shape)
+    prod = sfft.rfft2(b, fshape) * np.conj(sfft.rfft2(x, fshape))
+    return sfft.irfft2(prod, fshape)[:k1, :k2].ravel()

@@ -114,6 +114,23 @@ def test_deblur_cropped_command(runner, blurry_pgm, tmp_path):
     assert restored.shape == load_image(blurry_pgm).shape
 
 
+@pytest.mark.parametrize("method, warnings", [("gram", 1), ("svd", 0)])
+def test_eval_prints_the_gram_warning_on_one_line(runner, tmp_path, method,
+                                                  warnings):
+    # criterion 6's noiseless Gaussian case: sigma_min / sigma_max = 3.5e-8
+    case = tmp_path / "case"
+    r = runner.invoke(main, ["synth", "--size", "128", "--kernel-size", "9",
+                             "--kernel-param", "sigma=1.8", "-o", str(case)])
+    assert r.exit_code == 0, r.output
+    r = runner.invoke(main, ["eval", "--case", str(case), "--method", method,
+                             "-o", str(tmp_path / "eval")])
+    assert r.exit_code == 0, r.output
+    lines = r.stderr.splitlines()
+    assert len(lines) == warnings
+    assert all(l.startswith("warning: sigma_min / sigma_max = 3.5e-08 is "
+                            "below 1e-07") for l in lines)
+
+
 def test_eval_warns_when_restoration_is_worse_than_blurry(runner, tmp_path):
     # the spectral estimate of this off-centre curve kernel is a wide blob
     # (kernel error 0.26); restoring with it loses to the blurry input,

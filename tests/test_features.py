@@ -47,6 +47,15 @@ class TestLog:
         f = make_log(1.0)
         assert np.allclose(apply_filter(f, img), conv2d_full(f.taps, img))
 
+    @pytest.mark.parametrize("shape", [(9, 9), (10, 10), (9, 16)])
+    def test_fft_filter_matches_direct_convolution(self, shape):
+        img = np.random.default_rng(1).uniform(size=shape)
+        f = make_log(1.0)
+        ref = conv2d_full(f.taps, img)
+        out = apply_filter(f, img)
+        assert out.shape == ref.shape
+        assert np.max(np.abs(out - ref)) <= 1e-12 * np.max(np.abs(ref))
+
     def test_center_is_negative_peak(self):
         taps = make_log(1.0).taps
         r = taps.shape[0] // 2

@@ -11,7 +11,8 @@ from convdeblur.blind import DeblurConfig, estimate_kernel
 from convdeblur.features import DELTA, apply_filter, make_log
 from convdeblur.spectral import (conv_condition, conv_spectrum, sharpness)
 from convdeblur.synth import make_kernel, make_test_image, synth_blur
-from convdeblur.tensorops import conv2d_full, toeplitz, vectorize
+from convdeblur.tensorops import (conv2d_full, lag_gram, toeplitz,
+                                  toeplitz_gram, vectorize)
 
 
 @pytest.fixture(scope="module")
@@ -119,6 +120,47 @@ class TestConvSpectrum:
     def test_unknown_method(self, image):
         with pytest.raises(ValueError):
             conv_spectrum(image, DELTA, 2, 2, method="arnoldi")
+
+
+@pytest.mark.parametrize("s1, s2", [(1, 1), (1, 2), (2, 3), (3, 3), (13, 13),
+                                    (14, 14)])
+class TestCentrosymmetricSplit:
+    """Method 'gram' solves the Gram matrix as two half-size blocks, which
+    needs it to equal its 180-degree rotation exactly."""
+
+    @pytest.fixture
+    def gram(self, image, s1, s2):
+        return toeplitz_gram(apply_filter(make_log(1.0), image), s1, s2)
+
+    def test_lag_gram_is_exactly_centrosymmetric(self, gram, s1, s2):
+        assert np.array_equal(gram, gram[::-1, ::-1])
+        # even for lags that are not an autocorrelation's
+        lags = np.random.default_rng(7).standard_normal((2 * s1 + 1, 2 * s2 - 1))
+        g = lag_gram(lags, s1, s2)
+        assert np.array_equal(g, g[::-1, ::-1])
+
+    def test_eigenvalues_match_eigh(self, image, gram, s1, s2):
+        spec = conv_spectrum(image, make_log(1.0), s1, s2, method="gram")
+        ref = np.clip(np.linalg.eigvalsh(gram)[::-1], 0.0, None)
+        assert np.max(np.abs(spec.sigmas ** 2 - ref)) <= 1e-12 * ref[0]
+
+    def test_projectors_match_eigh(self, image, gram, s1, s2):
+        spec = conv_spectrum(image, make_log(1.0), s1, s2, method="gram")
+        w, v = np.linalg.eigh(gram)
+        w, v = w[::-1], v[:, ::-1].T
+        gap = np.concatenate(([np.inf], -np.diff(w), [np.inf]))
+        separated = np.minimum(gap[:-1], gap[1:]) > 1e-3 * w[0]
+        assert separated.sum() >= min(s1 * s2, 5)
+        got = spec.vectors.reshape(s1 * s2, -1)
+        for i in np.flatnonzero(separated):
+            assert np.allclose(np.outer(got[i], got[i]), np.outer(v[i], v[i]),
+                               rtol=0, atol=1e-9)
+
+    def test_vectors_are_symmetric_or_antisymmetric(self, image, s1, s2):
+        spec = conv_spectrum(image, make_log(1.0), s1, s2, method="gram")
+        for vec in spec.vectors:
+            rot = vec[::-1, ::-1]
+            assert np.array_equal(vec, rot) or np.array_equal(vec, -rot)
 
 
 def test_svd_spectrum_memory_is_independent_of_operator_size():

@@ -162,6 +162,41 @@ class TestToeplitz:
                            a.T @ b.ravel(), atol=1e-12)
 
 
+# (image shape, probe shape): a probe larger than the image, as a 9 x 9
+# kernel on 14 x 14 probes; 1 x 1 probes; a 1 x n image; non-square ones;
+# and l + k - 1 = 17 x 11, both prime
+NO_WRAP_CASES = [((9, 9), (14, 14)), ((6, 5), (1, 1)), ((1, 9), (3, 4)),
+                 ((12, 5), (4, 6)), ((3, 4), (6, 5)), ((13, 7), (5, 5))]
+
+
+def rel_err(a, ref):
+    return np.max(np.abs(a - ref)) / np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("xs, ks", NO_WRAP_CASES)
+class TestNoWrapCorrelation:
+    def test_gram_matches_explicit(self, xs, ks):
+        x = np.random.default_rng(11).standard_normal(xs)
+        a = toeplitz(x, *ks)
+        assert rel_err(toeplitz_gram(x, *ks), a.T @ a) <= 1e-12
+
+    def test_gram_is_exactly_zero_past_the_image(self, xs, ks):
+        x = np.random.default_rng(12).standard_normal(xs)
+        g = toeplitz_gram(x, *ks).reshape(ks + ks)
+        u, v = np.arange(ks[0]), np.arange(ks[1])
+        lag1 = np.abs(u[:, None, None, None] - u[None, None, :, None])
+        lag2 = np.abs(v[None, :, None, None] - v[None, None, None, :])
+        past = (lag1 >= xs[0]) | (lag2 >= xs[1])
+        assert np.all(g[np.broadcast_to(past, g.shape)] == 0.0)
+
+    def test_adjoint_matches_explicit(self, xs, ks):
+        rng = np.random.default_rng(13)
+        x = rng.standard_normal(xs)
+        b = rng.standard_normal((xs[0] + ks[0] - 1, xs[1] + ks[1] - 1))
+        ref = toeplitz(x, *ks).T @ b.ravel()
+        assert rel_err(toeplitz_apply_adjoint(x, b, *ks), ref) <= 1e-12
+
+
 class TestValidation:
     def test_kernel_negative_rejected(self):
         with pytest.raises(ValueError):
