@@ -114,9 +114,9 @@ def test_deblur_cropped_command(runner, blurry_pgm, tmp_path):
     assert restored.shape == load_image(blurry_pgm).shape
 
 
-@pytest.mark.parametrize("method, warnings", [("gram", 1), ("svd", 0)])
+@pytest.mark.parametrize("method, n_lines", [("gram", 1), ("svd", 0)])
 def test_eval_prints_the_gram_warning_on_one_line(runner, tmp_path, method,
-                                                  warnings):
+                                                  n_lines):
     # criterion 6's noiseless Gaussian case: sigma_min / sigma_max = 3.5e-8
     case = tmp_path / "case"
     r = runner.invoke(main, ["synth", "--size", "128", "--kernel-size", "9",
@@ -126,7 +126,7 @@ def test_eval_prints_the_gram_warning_on_one_line(runner, tmp_path, method,
                              "-o", str(tmp_path / "eval")])
     assert r.exit_code == 0, r.output
     lines = r.stderr.splitlines()
-    assert len(lines) == warnings
+    assert len(lines) == n_lines
     assert all(l.startswith("warning: sigma_min / sigma_max = 3.5e-08 is "
                             "below 1e-07") for l in lines)
 

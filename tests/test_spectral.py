@@ -135,7 +135,8 @@ class TestCentrosymmetricSplit:
     def test_lag_gram_is_exactly_centrosymmetric(self, gram, s1, s2):
         assert np.array_equal(gram, gram[::-1, ::-1])
         # even for lags that are not an autocorrelation's
-        lags = np.random.default_rng(7).standard_normal((2 * s1 + 1, 2 * s2 - 1))
+        lags = np.random.default_rng(7).standard_normal((2 * s1 - 1,
+                                                         2 * s2 - 1))
         g = lag_gram(lags, s1, s2)
         assert np.array_equal(g, g[::-1, ::-1])
 
