@@ -7,13 +7,13 @@ from .features import DELTA, FeatureFilter, apply_filter, get_filter, make_log
 from .metrics import (MetricsReport, noiseless_error_bound, noisy_error_bound,
                       psnr)
 from .regularizer import (RegularizerHessian, build_hessian, h_value,
-                          h_value_direct, necessary_condition_check)
+                          necessary_condition_check)
 from .simplex_qp import QpProblem, QpSolution, project_simplex, solve_qp
 from .spectral import ConvSpectrum, conv_condition, conv_spectrum, sharpness
 from .synth import (align_kernels, kernel_error, make_kernel, make_test_image,
                     synth_blur)
-from .tensorops import (conv2d_full, conv2d_valid, devectorize, toeplitz,
-                        toeplitz_gram, validate_kernel, vectorize)
+from .tensorops import (conv2d_full, devectorize, toeplitz, toeplitz_gram,
+                        validate_kernel, vectorize)
 from .tv import TvSolverConfig, total_variation, tv_deconv
 
 __version__ = "0.1.0"

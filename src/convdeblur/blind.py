@@ -17,7 +17,7 @@ from .regularizer import build_hessian, h_value
 from .simplex_qp import QpProblem, solve_qp
 from .spectral import conv_spectrum
 from .tensorops import (_fft_conv_full, as_image, central_window, devectorize,
-                        toeplitz_apply_adjoint, toeplitz_gram,
+                        latent_grid, toeplitz_apply_adjoint, toeplitz_gram,
                         toeplitz_row_blocks, vectorize)
 # Not used here: the traced benchmark run (perfbench/tracing.py) wraps these
 # names and requires them to exist.
@@ -73,6 +73,8 @@ class DeblurConfig:
             raise ValueError("kernel sizes must be >= 1")
         if self.alpha < 0 or self.lam < 0:
             raise ValueError("alpha and lam must be nonnegative")
+        if self.max_outer < 1:
+            raise ValueError("max_outer must be >= 1")
         self.s1 = sample_size(self.m1, self.s1)
         self.s2 = sample_size(self.m2, self.s2)
         if self.s1 < 1 or self.s2 < 1:
@@ -91,35 +93,33 @@ class DeblurResult:
     converged: bool
 
 
-def kstep(b, img, hess, alpha, tol=1e-8, max_iter=10000, x0=None, crop=False):
+def kstep(b, img, hess, alpha, tol=1e-8, x0=None):
     """Kernel update: min ||vec(B) - A(I) vec(K)||^2 + alpha vec(K)' H vec(K)
-    over the simplex.
+    over the simplex, the shapes picking the data model.
 
-    crop=False: B is the full-convolution output of img; the Gram matrix and
-    adjoint product of A(I) are formed directly by FFT correlation.
-    crop=True: B and img share a shape and only the central window of the
-    convolution is observed; the Gram matrix and adjoint product of the
-    window's Toeplitz rows are summed over blocks of CROP_BLOCK_ROWS rows."""
+    B of shape img.shape + m - 1 is the full-convolution output of img; the
+    Gram matrix and adjoint product of A(I) are FFT correlations. B of img's
+    shape is the central window of the convolution; the Gram matrix and
+    adjoint product of the window's Toeplitz rows are summed over blocks of
+    CROP_BLOCK_ROWS rows. A 1 x 1 kernel makes the two the same problem."""
     b = as_image(b)
     img = as_image(img)
     m1, m2 = hess.m1, hess.m2
-    if crop:
-        if b.shape != img.shape:
-            raise ValueError("cropped mode requires B and I of equal shape")
-        full = (img.shape[0] + m1 - 1, img.shape[1] + m2 - 1)
+    _, grid = latent_grid(img.shape, (m1, m2), assume_full=False)
+    if b.shape == grid:
+        q = toeplitz_gram(img, m1, m2)
+        c = -2.0 * toeplitz_apply_adjoint(img, b, m1, m2)
+    elif b.shape == img.shape:
         q = np.zeros((m1 * m2, m1 * m2))
         c = np.zeros(m1 * m2)
         for rows, blk in toeplitz_row_blocks(img, m1, m2, CROP_BLOCK_ROWS,
-                                             central_window(full, b.shape)):
+                                             central_window(grid, b.shape)):
             q += blk.T @ blk
             c -= 2.0 * (blk.T @ b[rows].ravel())
     else:
-        if b.shape != (img.shape[0] + m1 - 1, img.shape[1] + m2 - 1):
-            raise ValueError("blurry/latent/kernel sizes are inconsistent")
-        q = toeplitz_gram(img, m1, m2)
-        c = -2.0 * toeplitz_apply_adjoint(img, b, m1, m2)
+        raise ValueError("blurry/latent/kernel sizes are inconsistent")
     q = 0.5 * (q + q.T) + alpha * hess.matrix
-    sol = solve_qp(QpProblem(q, c), tol=tol, max_iter=max_iter, x0=x0)
+    sol = solve_qp(QpProblem(q, c), tol=tol, x0=x0)
     return devectorize(sol.point, m1, m2), sol
 
 
@@ -131,14 +131,23 @@ def estimate_kernel(spec, m1, m2):
     return devectorize(sol.point, m1, m2), hess, sol
 
 
-def blind_objective(b, img, k, lam, alpha, hess, crop=False):
+def blind_objective(b, img, k, lam, alpha, hess):
+    """The objective, B matched to the central window of img (x) k."""
     pred = _fft_conv_full(img, k)
-    if crop:
-        s1, s2 = central_window(pred.shape, b.shape)
-        pred = pred[s1, s2]
-    resid = b - pred
+    resid = b - pred[central_window(pred.shape, b.shape)]
     return float(np.sum(resid * resid)) + lam * total_variation(img) \
         + alpha * h_value(hess, k)
+
+
+def _hessian(b, cfg, spectrum, hessian):
+    """The kernel regularizer's Hessian: hessian if given, else built from
+    spectrum, else from B's own spectrum under cfg."""
+    if hessian is not None:
+        return hessian
+    if spectrum is None:
+        spectrum = conv_spectrum(b, cfg.filter(), cfg.s1, cfg.s2,
+                                 method=cfg.spectrum_method)
+    return build_hessian(spectrum, cfg.m1, cfg.m2)
 
 
 def blind_deblur(b, cfg, spectrum=None, hessian=None):
@@ -157,18 +166,9 @@ def blind_deblur(b, cfg, spectrum=None, hessian=None):
     can only stop as converged once the weight is lam.
     """
     b = as_image(b)
-    crop = not cfg.assume_full
-    if crop:
-        shape = b.shape
-    else:
-        shape = (b.shape[0] - cfg.m1 + 1, b.shape[1] - cfg.m2 + 1)
-        if shape[0] < 1 or shape[1] < 1:
-            raise ValueError("image smaller than the kernel")
+    shape, _ = latent_grid(b.shape, (cfg.m1, cfg.m2), cfg.assume_full)
     img = b[central_window(b.shape, shape)].copy()
-    if spectrum is None:
-        spectrum = conv_spectrum(b, cfg.filter(), cfg.s1, cfg.s2,
-                                 method=cfg.spectrum_method)
-    hess = hessian if hessian is not None else build_hessian(spectrum, cfg.m1, cfg.m2)
+    hess = _hessian(b, cfg, spectrum, hessian)
     k = np.full((cfg.m1, cfg.m2), 1.0 / (cfg.m1 * cfg.m2))
     trace = []
     prev_obj = None
@@ -177,8 +177,8 @@ def blind_deblur(b, cfg, spectrum=None, hessian=None):
     state = None
     lam_factor = 1.0
     for it in range(1, cfg.max_outer + 1):
-        k_new, _ = kstep(b, img, hess, cfg.alpha, x0=vectorize(k), crop=crop)
-        if not crop:
+        k_new, _ = kstep(b, img, hess, cfg.alpha, x0=vectorize(k))
+        if cfg.assume_full:
             lam_factor = max(1.0, LAM_START * LAM_DECAY ** (it - 1))
         tv_cfg = TvSolverConfig(lam=cfg.lam * lam_factor,
                                 max_inner=IMAGE_STEP_ITERS, tol=0.0)
@@ -186,8 +186,7 @@ def blind_deblur(b, cfg, spectrum=None, hessian=None):
         res = tv_deconv(b, k_new, tv_cfg, assume_full=cfg.assume_full,
                         state=state)
         img_new = res.image
-        obj = blind_objective(b, img_new, k_new, cfg.lam, cfg.alpha, hess,
-                              crop=crop)
+        obj = blind_objective(b, img_new, k_new, cfg.lam, cfg.alpha, hess)
         if prev_obj is not None and obj > prev_obj + OBJECTIVE_SLACK * max(1.0, abs(prev_obj)):
             # the objective rose: not a descent step, so stop unconverged
             # and keep the previous (better) iterate
@@ -219,14 +218,10 @@ def alpha_sweep(b, cfg, alphas, spectrum=None, hessian=None):
         raise ValueError("alpha list is empty")
     cfgs = [replace(cfg, alpha=float(a)) for a in alphas]
     b = as_image(b)
-    if spectrum is None:
-        spectrum = conv_spectrum(b, cfg.filter(), cfg.s1, cfg.s2,
-                                 method=cfg.spectrum_method)
-    if hessian is None:
-        hessian = build_hessian(spectrum, cfg.m1, cfg.m2)
+    hessian = _hessian(b, cfg, spectrum, hessian)
     rows = []
     for c in cfgs:
-        res = blind_deblur(b, c, spectrum=spectrum, hessian=hessian)
+        res = blind_deblur(b, c, hessian=hessian)
         spec_i = conv_spectrum(res.image, cfg.filter(), cfg.s1, cfg.s2,
                                method=cfg.spectrum_method)
         rows.append({

@@ -1,10 +1,10 @@
 """Command-line interface.
 
 Exit codes: 0 success, 2 validation/input error, 3 solver did not converge.
-Every option can also be given in a flat key=value config file via --config,
-keyed by its long flag name (sample-size=8, lambda=0.01); values on the
-command line win. The CONVDEBLUR_OUT environment variable sets the default
-output root.
+Every option, required ones included, can also be given in a flat key=value
+config file via --config, keyed by its long flag name (sample-size=8,
+lambda=0.01); values on the command line win. The CONVDEBLUR_OUT environment
+variable sets the default output root.
 """
 
 import os
@@ -25,35 +25,33 @@ EXIT_VALIDATION = 2
 EXIT_NO_CONVERGENCE = 3
 
 
-def read_config(path):
-    """The key=value lines of a config file as {key: [values]}. Keys are
-    long flag names; an underscore reads as a dash. A repeated key gives a
-    multiple option one item per line; any other option takes the last."""
-    cfg = {}
+def load_config(ctx, _param, path):
+    """Eager --config callback: the file's key=value lines become the
+    command's default_map. Keys are long flag names; an underscore reads as
+    a dash. A repeated key gives a multiple option one item per line; any
+    other option takes the last."""
+    if path is None:
+        return
+    params = {max(param.opts, key=len).lstrip("-"): param
+              for param in ctx.command.params}
+    defaults = {}
     with open(path) as fh:
         for line in fh:
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
             if "=" not in line:
-                raise ValueError(f"bad config line {line!r} (expected key=value)")
-            key, val = line.split("=", 1)
-            cfg.setdefault(key.strip().replace("_", "-"), []).append(val.strip())
-    return cfg
-
-
-def apply_config(ctx, path):
-    """Fill params whose value came from their default with config values.
-    A key that names no option of the command is a ValueError."""
-    params = {max(param.opts, key=len).lstrip("-"): param
-              for param in ctx.command.params}
-    for key, values in read_config(path).items():
-        param = params.get(key)
-        if param is None:
-            raise ValueError(f"unknown config key {key!r}")
-        if ctx.get_parameter_source(param.name) == click.core.ParameterSource.DEFAULT:
-            ctx.params[param.name] = param.type_cast_value(
-                ctx, values if param.multiple else values[-1])
+                raise click.BadParameter(
+                    f"bad config line {line!r} (expected key=value)")
+            key, val = (part.strip() for part in line.split("=", 1))
+            param = params.get(key.replace("_", "-"))
+            if param is None:
+                raise click.BadParameter(f"unknown config key {key!r}")
+            if param.multiple:
+                defaults.setdefault(param.name, []).append(val)
+            else:
+                defaults[param.name] = val
+    ctx.default_map = defaults
 
 
 def write_csv(path, header, rows):
@@ -74,7 +72,8 @@ def _fmt(v):
 COMMON = (
     click.option("-o", "--out", default=None,
                  help="output directory (default: $CONVDEBLUR_OUT or cwd)"),
-    click.option("--config", type=click.Path(exists=True),
+    click.option("--config", type=click.Path(exists=True, dir_okay=False),
+                 is_eager=True, expose_value=False, callback=load_config,
                  help="flat key=value config file; CLI flags override"),
 )
 IMAGE = click.argument("image", type=click.Path(exists=True))
@@ -130,25 +129,19 @@ def subcommand(group, name, *options):
     """Register the decorated body as subcommand `name` of group.
 
     The command takes the given options (listed in --help in this order)
-    plus --config and -o. It applies the config file, resolves and creates
-    the output root, and calls the body with every parameter as a keyword,
-    the output root as `out`. ValueError and OSError exit with
-    EXIT_VALIDATION. A RuntimeWarning prints as one `warning: <message>`
-    line on stderr."""
+    plus --config and -o. It resolves and creates the output root, and calls
+    the body with every parameter as a keyword, the output root as `out`.
+    ValueError and OSError exit with EXIT_VALIDATION. A RuntimeWarning
+    prints as one `warning: <message>` line on stderr."""
     def register(body):
-        @click.pass_context
-        def run(ctx, **_):
-            p = ctx.params
+        def run(out, **params):
             try:
-                config = p.pop("config")
-                if config:
-                    apply_config(ctx, config)
-                p["out"] = p["out"] or os.environ.get("CONVDEBLUR_OUT") or "."
-                os.makedirs(p["out"], exist_ok=True)
+                out = out or os.environ.get("CONVDEBLUR_OUT") or "."
+                os.makedirs(out, exist_ok=True)
                 with warnings.catch_warnings():
                     warnings.showwarning = _one_line_warnings(
                         warnings.showwarning)
-                    body(**p)
+                    body(out=out, **params)
             except (ValueError, OSError) as exc:
                 click.echo(f"error: {exc}", err=True)
                 sys.exit(EXIT_VALIDATION)

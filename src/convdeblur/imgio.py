@@ -8,17 +8,22 @@ import numpy as np
 from .tensorops import as_image, validate_kernel
 
 
+def _pillow(ext):
+    """Pillow's Image module, for the non-PGM extension ext."""
+    try:
+        from PIL import Image
+    except ImportError:
+        raise ValueError(f"unsupported image format {ext!r} (install Pillow "
+                         "for non-PGM files)")
+    return Image
+
+
 def load_image(path):
     """Load a grayscale image, mapping 8-bit intensities to [0, 1]."""
     ext = os.path.splitext(path)[1].lower()
     if ext == ".pgm":
         return read_pgm(path)
-    try:
-        from PIL import Image as PILImage
-    except ImportError:
-        raise ValueError(f"unsupported image format {ext!r} (install Pillow "
-                         "for non-PGM files)")
-    with PILImage.open(path) as im:
+    with _pillow(ext).open(path) as im:
         arr = np.asarray(im.convert("L"), dtype=np.float64)
     return arr / 255.0
 
@@ -30,13 +35,8 @@ def save_image(path, img):
     ext = os.path.splitext(path)[1].lower()
     if ext == ".pgm":
         write_pgm(path, data)
-        return
-    try:
-        from PIL import Image as PILImage
-    except ImportError:
-        raise ValueError(f"unsupported image format {ext!r} (install Pillow "
-                         "for non-PGM files)")
-    PILImage.fromarray(data, mode="L").save(path)
+    else:
+        _pillow(ext).fromarray(data, mode="L").save(path)
 
 
 def read_pgm(path):
@@ -75,20 +75,15 @@ def read_pgm(path):
     return arr.astype(np.float64).reshape(height, width) / maxval
 
 
-def write_pgm(path, data, binary=True):
-    """Write 8-bit grayscale data (uint8 array) as P5 (or P2) PGM."""
+def write_pgm(path, data):
+    """Write 8-bit grayscale data (uint8 array) as binary (P5) PGM."""
     data = np.asarray(data)
     if data.dtype != np.uint8:
         raise ValueError("write_pgm expects uint8 data")
     h, w = data.shape
     with open(path, "wb") as fh:
-        if binary:
-            fh.write(f"P5\n{w} {h}\n255\n".encode())
-            fh.write(data.tobytes())
-        else:
-            fh.write(f"P2\n{w} {h}\n255\n".encode())
-            for row in data:
-                fh.write((" ".join(str(int(v)) for v in row) + "\n").encode())
+        fh.write(f"P5\n{w} {h}\n255\n".encode())
+        fh.write(data.tobytes())
 
 
 def save_kernel_txt(path, k):
@@ -99,7 +94,7 @@ def save_kernel_txt(path, k):
             fh.write(" ".join(repr(float(v)) for v in row) + "\n")
 
 
-def load_kernel_txt(path, validate=True):
+def load_kernel_txt(path):
     rows = []
     with open(path) as fh:
         for line in fh:
@@ -109,8 +104,7 @@ def load_kernel_txt(path, validate=True):
             rows.append([float(tok) for tok in line.split()])
     if not rows or any(len(r) != len(rows[0]) for r in rows):
         raise ValueError(f"malformed kernel file {path!r}")
-    k = np.array(rows)
-    return validate_kernel(k) if validate else k
+    return validate_kernel(np.array(rows))
 
 
 def save_kernel_image(path, k):

@@ -1,7 +1,7 @@
 """Quality metrics and the recovery-error bound formulas."""
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -47,12 +47,5 @@ class MetricsReport:
     runtime_seconds: float
 
     def rows(self):
-        return [
-            ("kernel_error", self.kernel_error),
-            ("noiseless_bound", self.noiseless_bound),
-            ("noisy_bound", self.noisy_bound),
-            ("psnr_blurry", self.psnr_blurry),
-            ("psnr_restored", self.psnr_restored),
-            ("sigma_ratio", self.sigma_ratio),
-            ("runtime_seconds", self.runtime_seconds),
-        ]
+        """(name, value) pairs in field order."""
+        return [(f.name, getattr(self, f.name)) for f in fields(self)]

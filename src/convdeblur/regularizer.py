@@ -10,8 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensorops import (as_image, conv2d_full, lag_gram, toeplitz_gram,
-                        vectorize)
+from .tensorops import as_image, lag_gram, toeplitz_gram, vectorize
 
 SIGMA_CLAMP_REL = 1e-12
 
@@ -21,7 +20,6 @@ class RegularizerHessian:
     m1: int
     m2: int
     matrix: np.ndarray        # (m1*m2, m1*m2), symmetric positive definite
-    spectrum: object          # ConvSpectrum the Hessian was built from
     clamp_count: int = 0      # eigenvalues clamped up to SIGMA_CLAMP_REL*sigma_max
 
 
@@ -54,7 +52,7 @@ def build_hessian(spec, m1, m2):
     lags = np.bincount(lag.ravel(), weights=p.ravel(),
                        minlength=(2 * s1 - 1) * (2 * s2 - 1))
     h = lag_gram(lags.reshape(2 * s1 - 1, 2 * s2 - 1), m1, m2)
-    return RegularizerHessian(m1, m2, h, spec, clamped)
+    return RegularizerHessian(m1, m2, h, clamped)
 
 
 def h_value(hess, k):
@@ -65,17 +63,6 @@ def h_value(hess, k):
                          f"({hess.m1}, {hess.m2}) Hessian")
     v = vectorize(k)
     return float(v @ hess.matrix @ v)
-
-
-def h_value_direct(spec, k):
-    """Reference evaluation by the defining sum; oracle for h_value."""
-    k = as_image(k)
-    floor = SIGMA_CLAMP_REL * spec.sigma_max
-    total = 0.0
-    for i in range(len(spec.sigmas)):
-        sig = max(float(spec.sigmas[i]), floor)
-        total += np.sum(conv2d_full(k, spec.vectors[i]) ** 2) / (sig * sig)
-    return total
 
 
 def necessary_condition_check(spec_b, sigma_min_i0, k):

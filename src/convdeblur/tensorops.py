@@ -3,8 +3,8 @@
 All images and kernels are plain 2D float64 numpy arrays. Vectorization is
 row-major everywhere; the Toeplitz row/column ordering is defined by it.
 
-Direct convolutions are sums of shifted slices of the larger operand, one per
-entry of the smaller one, so their cost is output size times the smaller
+The direct convolution is a sum of shifted slices of the larger operand, one
+per entry of the smaller one, so its cost is output size times the smaller
 operand whatever the argument order; `_fft_conv_full` is the FFT version.
 Products with the Toeplitz operator of an image (its Gram matrix, its
 adjoint) are FFT correlations on the smallest fast grid on which the lags
@@ -47,6 +47,19 @@ def central_window(full_shape, out_shape):
     return slice(o1, o1 + out_shape[0]), slice(o2, o2 + out_shape[1])
 
 
+def latent_grid(b_shape, k_shape, assume_full):
+    """(latent shape, full-convolution grid shape) of an observation of
+    b_shape blurred by a k_shape kernel: the whole full-convolution output
+    (assume_full=True) or its central window at the latent size."""
+    m1, m2 = k_shape
+    if not assume_full:
+        return tuple(b_shape), (b_shape[0] + m1 - 1, b_shape[1] + m2 - 1)
+    shape = (b_shape[0] - m1 + 1, b_shape[1] - m2 + 1)
+    if shape[0] < 1 or shape[1] < 1:
+        raise ValueError("observed image smaller than the kernel")
+    return shape, tuple(b_shape)
+
+
 def conv2d_full(x, y):
     """Full 2D convolution: output (l1+k1-1) x (l2+k2-1), zero boundary.
 
@@ -61,21 +74,6 @@ def conv2d_full(x, y):
     out = np.zeros((l1 + y.shape[0] - 1, l2 + y.shape[1] - 1))
     for (u, v), w in np.ndenumerate(y):
         out[u:u + l1, v:v + l2] += w * x
-    return out
-
-
-def conv2d_valid(x, y):
-    """Valid 2D convolution: only fully-overlapping positions."""
-    x = as_image(x)
-    y = as_image(y)
-    if y.shape[0] > x.shape[0] or y.shape[1] > x.shape[1]:
-        raise ValueError(f"second operand {y.shape} larger than first {x.shape}")
-    k1, k2 = y.shape
-    o1, o2 = x.shape[0] - k1 + 1, x.shape[1] - k2 + 1
-    out = np.zeros((o1, o2))
-    for (u, v), w in np.ndenumerate(y):
-        a, b = k1 - 1 - u, k2 - 1 - v
-        out += w * x[a:a + o1, b:b + o2]
     return out
 
 

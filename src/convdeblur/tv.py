@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import fft as sfft
 
-from .tensorops import as_image, central_window, validate_kernel
+from .tensorops import as_image, central_window, latent_grid, validate_kernel
 
 # ADMM penalty of the y = pad(I) and g = grad(I) splits
 ADMM_PENALTY = 0.1
@@ -49,6 +49,8 @@ class TvSolverConfig:
             raise ValueError("lam must be nonnegative")
         if self.max_inner < 1:
             raise ValueError("max_inner must be >= 1")
+        if self.tol < 0:
+            raise ValueError("tol must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -116,7 +118,7 @@ def _grid_sq_norm(fx, grid):
     return total / (grid[0] * grid[1])
 
 
-def tv_deconv(b, k, cfg=None, assume_full=True, x0=None, state=None):
+def tv_deconv(b, k, cfg=None, assume_full=True, state=None):
     """Restore the latent image given the blur kernel.
 
     With assume_full=True, b is the full-convolution output and the latent
@@ -125,34 +127,26 @@ def tv_deconv(b, k, cfg=None, assume_full=True, x0=None, state=None):
 
     The image is found by ADMM on the objective of the module docstring. It
     stops as converged once the relative image change and the relative
-    primal residual both fall below cfg.tol. The result carries the solver's
-    split and dual variables; passing them back as `state` resumes the
-    iteration where it stopped. x0 (a latent-size image) and `state` are two
-    ways to warm-start and may not be given together; with neither, the
-    iteration starts from b's central window at the latent size. With
-    lam = 0 and full-convolution data the minimizer is the inverse filter,
-    returned directly.
+    primal residual both fall below cfg.tol (tol = 0 runs all cfg.max_inner
+    iterations). The result carries the solver's split and dual variables;
+    passing them back as `state` resumes the iteration where it stopped.
+    Without a state the iteration starts from b's central window at the
+    latent size.
+
+    With lam = 0 and full-convolution data the inverse filter is returned
+    directly. It minimizes the data term only for noise-free data; with
+    noise the least-squares minimizer is another image, whose data term can
+    be under half of the inverse filter's.
     """
     b = as_image(b)
     k = validate_kernel(k)
     cfg = cfg or TvSolverConfig()
-    if x0 is not None and state is not None:
-        raise ValueError("give a warm start as x0 or as state, not both")
-    m1, m2 = k.shape
-    if assume_full:
-        grid = b.shape
-        shape = (b.shape[0] - m1 + 1, b.shape[1] - m2 + 1)
-        if shape[0] < 1 or shape[1] < 1:
-            raise ValueError("observed image smaller than the kernel")
-    else:
-        grid = (b.shape[0] + m1 - 1, b.shape[1] + m2 - 1)
-        shape = b.shape
+    shape, grid = latent_grid(b.shape, k.shape, assume_full)
     n1, n2 = shape
     fk = sfft.rfft2(k, s=grid)   # k zero-embedded at the grid's top left
 
     if cfg.lam == 0.0 and assume_full:
-        # no regularizer: the minimizer is the inverse filter (exact for
-        # consistent full-convolution data)
+        # no regularizer: the inverse filter (see the docstring)
         img = sfft.irfft2(np.conj(fk) * sfft.rfft2(b)
                           / np.maximum(np.abs(fk) ** 2, 1e-30), s=grid)
         return TvResult(img[:n1, :n2].copy(), 1, True)
@@ -183,9 +177,7 @@ def tv_deconv(b, k, cfg=None, assume_full=True, x0=None, state=None):
         (2.0 - 2.0 * np.cos(2.0 * np.pi * np.arange(n1) / n1))[:, None]
         + (2.0 - 2.0 * np.cos(2.0 * np.pi * np.arange(n2 // 2 + 1) / n2))))
     if state is None:
-        img = b[central_window(b.shape, shape)] if x0 is None else as_image(x0)
-        if img.shape != shape:
-            raise ValueError("warm start must match the latent size")
+        img = b[central_window(b.shape, shape)]
         y = np.zeros(grid)
         y[:n1, :n2] = img
         fy = sfft.rfft2(y)

@@ -53,7 +53,7 @@ class TestKstep:
         real = blind.solve_qp
         monkeypatch.setattr(blind, "solve_qp",
                             lambda p, **kw: problems.append(p) or real(p, **kw))
-        kstep(window, img, hess, alpha=0.1, crop=True)
+        kstep(window, img, hess, alpha=0.1)
         a = toeplitz(img, 5, 5).reshape(52, 52, 25)[2:50, 2:50].reshape(-1, 25)
         q = a.T @ a + 0.1 * hess.matrix
         c = -2.0 * (a.T @ window.ravel())
@@ -69,7 +69,7 @@ class TestKstep:
         hess = build_hessian(conv_spectrum(b, make_log(1.0), 20, 20), 13, 13)
         tracemalloc.start()
         try:
-            kstep(b, img, hess, alpha=0.1, crop=True)
+            kstep(b, img, hess, alpha=0.1)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -78,15 +78,31 @@ class TestKstep:
     def test_cropped_mode_identity_fit(self, case):
         # with a same-size observation equal to the latent, the impulse fits
         img, _, _, _, hess = case
-        k, _ = kstep(img, img, hess, alpha=0.0, crop=True)
+        k, _ = kstep(img, img, hess, alpha=0.0)
         assert impulse_distance(k) < 1e-4
 
     def test_size_mismatch_rejected(self, case):
+        # B must be the full convolution of I or the central window of I's
+        # size; one row short of either is neither
         img, _, b, _, hess = case
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="inconsistent"):
             kstep(b[:-1], img, hess, 0.0)
-        with pytest.raises(ValueError):
-            kstep(b, img, hess, 0.0, crop=True)
+        with pytest.raises(ValueError, match="inconsistent"):
+            kstep(img[:-1], img, hess, 0.0)
+
+    def test_one_by_one_kernel_models_agree(self, case, monkeypatch):
+        # with m = 1 x 1 the full convolution has I's size: both data models
+        # are the same problem, that of the explicit Toeplitz column
+        img, _, _, spec, _ = case
+        b = 0.5 * img + 0.01
+        problems = []
+        real = blind.solve_qp
+        monkeypatch.setattr(blind, "solve_qp",
+                            lambda p, **kw: problems.append(p) or real(p, **kw))
+        kstep(b, img, build_hessian(spec, 1, 1), alpha=0.0)
+        (p,) = problems
+        assert np.isclose(p.q[0, 0], np.sum(img * img), rtol=1e-12)
+        assert np.isclose(p.c[0], -2.0 * np.sum(img * b), rtol=1e-12)
 
 
 class TestEstimateKernel:
@@ -173,6 +189,31 @@ class TestBlindDeblur:
             DeblurConfig(m1=5, m2=5, alpha=-1.0)
         with pytest.raises(ValueError, match="sampling sizes"):
             DeblurConfig(m1=5, m2=5, s1=0)
+        with pytest.raises(ValueError, match="max_outer"):
+            DeblurConfig(m1=5, m2=5, max_outer=0)
+
+    def test_spectrum_built_only_for_a_missing_hessian(self, case,
+                                                       monkeypatch):
+        # a given Hessian is used as is; without one the spectrum is built
+        # once per call, and alpha_sweep's runs share its Hessian
+        _, _, b, _, hess = case
+        calls = []
+        real = blind.conv_spectrum
+        monkeypatch.setattr(blind, "conv_spectrum",
+                            lambda *a, **kw: calls.append(a) or real(*a, **kw))
+        cfg = DeblurConfig(m1=5, m2=5, s1=8, s2=8, max_outer=1,
+                           spectrum_method="gram")
+        blind_deblur(b, cfg, hessian=hess)
+        assert calls == []
+        blind_deblur(b, cfg)
+        assert len(calls) == 1
+        calls.clear()
+        # one spectrum for the Hessian, one per restored image's sharpness
+        alpha_sweep(b, cfg, [1e-3, 1e-1])
+        assert len(calls) == 3
+        calls.clear()
+        alpha_sweep(b, cfg, [1e-3, 1e-1], hessian=hess)
+        assert len(calls) == 2
 
     def test_default_sampling_sizes(self):
         cfg = DeblurConfig(m1=9, m2=9)

@@ -311,6 +311,48 @@ def test_unknown_config_key_is_a_validation_error(runner, blurry_pgm,
     assert not (tmp_path / "o" / "restored.pgm").exists()
 
 
+def test_required_options_from_config(runner, blurry_pgm, tmp_path):
+    # --kernel-size and --alpha are required: the config file can give them
+    (tmp_path / "run.cfg").write_text("kernel-size=5\nalpha=0.01\n")
+    kernels = {}
+    for name, args in [("config", ["--config", str(tmp_path / "run.cfg")]),
+                       ("flag", ["--kernel-size", "5", "--alpha", "0.01"])]:
+        r = runner.invoke(main, ["deblur", blurry_pgm, *args,
+                                 "-o", str(tmp_path / name)])
+        assert r.exit_code == 0, r.output
+        kernels[name] = (tmp_path / name / "kernel.txt").read_bytes()
+    assert kernels["config"] == kernels["flag"]
+
+
+def test_sweep_alphas_from_config(runner, blurry_pgm, tmp_path):
+    (tmp_path / "run.cfg").write_text("alphas=0.01,0.1\nkernel-size=5\n")
+    r = runner.invoke(main, ["sweep", blurry_pgm, "--config",
+                             str(tmp_path / "run.cfg"), "--max-iters", "3",
+                             "-o", str(tmp_path)])
+    assert r.exit_code == 0, r.output
+    lines = (tmp_path / "sweep.csv").read_text().splitlines()
+    assert [line.split(",")[0] for line in lines[1:]] == ["0.01", "0.1"]
+
+
+@pytest.mark.parametrize("command, message", [
+    (["deblur", "--kernel-size", "5", "--alpha", "0.01", "--max-iters", "0"],
+     "max_outer must be >= 1"),
+    (["deconv", "K", "--tol", "-1"], "tol must be nonnegative"),
+], ids=["deblur-max-iters-0", "deconv-negative-tol"])
+def test_values_that_do_nothing_are_validation_errors(runner, blurry_pgm,
+                                                      tmp_path, command,
+                                                      message):
+    # zero outer iterations and a negative tolerance would run and report
+    # non-convergence (exit 3) rather than reject the value
+    kpath = tmp_path / "k.txt"
+    save_kernel_txt(kpath, make_kernel("gaussian", 5, {"sigma": 1.0}))
+    args = [str(kpath) if a == "K" else a for a in command[1:]]
+    r = runner.invoke(main, [command[0], blurry_pgm, *args,
+                             "-o", str(tmp_path / "o")])
+    assert r.exit_code == 2, r.output
+    assert message in r.stderr
+
+
 def test_config_keys_are_flag_names(runner, tmp_path):
     # --lambda's parameter is named lam; the config key is the flag name
     img = make_test_image("polygons", 32, seed=2)

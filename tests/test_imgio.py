@@ -17,9 +17,11 @@ class TestPgm:
         assert np.allclose(back * 255.0, data)
 
     def test_ascii_round_trip(self, tmp_path):
+        # write_pgm writes P5 only; the P2 file is written by hand
         data = np.array([[0, 128], [255, 1]], dtype=np.uint8)
         p = tmp_path / "a.pgm"
-        write_pgm(p, data, binary=False)
+        p.write_text("P2\n2 2\n255\n"
+                     + "".join(" ".join(map(str, row)) + "\n" for row in data))
         assert np.allclose(read_pgm(p) * 255.0, data)
 
     def test_comments_skipped(self, tmp_path):
@@ -70,10 +72,8 @@ class TestKernelFiles:
     def test_validation_on_load(self, tmp_path):
         p = tmp_path / "bad.txt"
         p.write_text("0.5 0.2\n0.1 0.1\n")
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="sums to"):
             load_kernel_txt(p)
-        k = load_kernel_txt(p, validate=False)
-        assert k.shape == (2, 2)
 
     def test_malformed_rejected(self, tmp_path):
         p = tmp_path / "ragged.txt"

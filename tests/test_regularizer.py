@@ -3,7 +3,7 @@ import pytest
 
 from convdeblur.features import DELTA, make_log
 from convdeblur.regularizer import (SIGMA_CLAMP_REL, build_hessian, h_value,
-                                    h_value_direct, necessary_condition_check)
+                                    necessary_condition_check)
 from convdeblur.spectral import ConvSpectrum, conv_spectrum
 from convdeblur.synth import make_kernel, make_test_image, synth_blur
 from convdeblur.tensorops import conv2d_full, toeplitz_gram, vectorize
@@ -23,6 +23,17 @@ def kahan_hessian(spec, m1, m2):
         comp = (t - h) - y
         h = t
     return 0.5 * (h + h.T)
+
+
+def h_value_direct(spec, k):
+    """Reference: h(K) by its defining sum, sigmas clamped as in
+    build_hessian."""
+    floor = SIGMA_CLAMP_REL * spec.sigma_max
+    total = 0.0
+    for sig, vec in zip(spec.sigmas, spec.vectors):
+        sig = max(float(sig), floor)
+        total += np.sum(conv2d_full(k, vec) ** 2) / (sig * sig)
+    return total
 
 
 @pytest.fixture(scope="module")

@@ -199,7 +199,7 @@ class TestSingularQ:
         rng = np.random.default_rng(13)
         img, b = rng.uniform(size=(3, 3)), rng.uniform(size=(3, 3))
         hess = types.SimpleNamespace(m1=5, m2=5, matrix=np.eye(25))
-        k, sol = kstep(b, img, hess, alpha=0.0, crop=True)
+        k, sol = kstep(b, img, hess, alpha=0.0)
         assert sol.converged and sol.kkt_residual <= 1e-12
 
         def misfit(kernel):

@@ -5,9 +5,10 @@ import sys
 import numpy as np
 import pytest
 
-from convdeblur.tensorops import (as_image, conv2d_full, conv2d_valid,
-                                  devectorize, toeplitz, toeplitz_apply_adjoint,
-                                  toeplitz_gram, validate_kernel, vectorize)
+from convdeblur.tensorops import (as_image, conv2d_full, devectorize,
+                                  latent_grid, toeplitz,
+                                  toeplitz_apply_adjoint, toeplitz_gram,
+                                  validate_kernel, vectorize)
 
 
 def brute_conv_full(x, y):
@@ -77,32 +78,10 @@ class TestConv2d:
             conv2d_full(np.zeros((0, 2)), np.ones((1, 1)))
 
 
-class TestConv2dValid:
-    def test_3x3_single_position(self):
-        rng = np.random.default_rng(4)
-        x = rng.standard_normal((3, 3))
-        y = rng.standard_normal((3, 3))
-        out = conv2d_valid(x, y)
-        assert out.shape == (1, 1)
-        # single fully-overlapping position: flipped inner product
-        assert np.isclose(out[0, 0], np.sum(x * y[::-1, ::-1]), atol=1e-12)
-
-    def test_impulse_identity(self):
-        x = np.arange(6.0).reshape(2, 3)
-        assert np.array_equal(conv2d_valid(x, np.ones((1, 1))), x)
-
-    def test_is_central_crop_of_full(self):
-        rng = np.random.default_rng(5)
-        x = rng.standard_normal((7, 6))
-        y = rng.standard_normal((3, 2))
-        full = conv2d_full(x, y)
-        valid = conv2d_valid(x, y)
-        assert np.allclose(valid, full[2:-2 or None, 1:-1 or None][:5, :5])
-        assert np.allclose(valid, full[2:2 + 5, 1:1 + 5])
-
-    def test_oversized_second_operand_rejected(self):
-        with pytest.raises(ValueError):
-            conv2d_valid(np.ones((2, 2)), np.ones((3, 3)))
+class TestLatentGrid:
+    def test_full_and_cropped_models(self):
+        assert latent_grid((12, 10), (5, 3), True) == ((8, 8), (12, 10))
+        assert latent_grid((12, 10), (5, 3), False) == ((12, 10), (16, 12))
 
 
 class TestVectorize:

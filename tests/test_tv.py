@@ -125,6 +125,10 @@ class TestHelpers:
             TvSolverConfig(lam=-1.0)
         with pytest.raises(ValueError):
             TvSolverConfig(max_inner=0)
+        with pytest.raises(ValueError, match="tol"):
+            TvSolverConfig(tol=-1.0)
+        # tol = 0 runs every iteration, as blind_deblur's image steps do
+        TvSolverConfig(tol=0.0)
 
 
 class TestTvDeconv:
@@ -165,7 +169,7 @@ class TestTvDeconv:
         b = conv2d_full(img, k)
         cfg = TvSolverConfig(lam=0.0015, max_inner=800, tol=1e-4)
         cold = tv_deconv(b, k, cfg)
-        warm = tv_deconv(b, k, cfg, x0=cold.image)
+        warm = tv_deconv(b, k, cfg, state=cold.state)
         assert warm.converged
 
         def objective(x):
@@ -192,10 +196,7 @@ class TestTvDeconv:
                                                tol=0.0),
                           assume_full=assume_full)
         assert np.array_equal(resumed.image, whole.image)
-        # one warm start at a time, and a state of the problem's own size
-        with pytest.raises(ValueError):
-            tv_deconv(b, k, cfg, assume_full=assume_full, x0=first.image,
-                      state=first.state)
+        # a state of the problem's own size only
         with pytest.raises(ValueError):
             tv_deconv(b[2:-2, 2:-2], k, cfg, assume_full=assume_full,
                       state=first.state)
