@@ -44,8 +44,6 @@ IMAGE_STEP_ITERS = 20
 # below the no-blur threshold in alpha away from the impulse.
 LAM_START = 30.0
 LAM_DECAY = 0.5
-# Toeplitz rows per block of the cropped kernel step's Gram sums
-CROP_BLOCK_ROWS = 1024
 
 
 def sample_size(m, s=None):
@@ -94,30 +92,28 @@ class DeblurResult:
 
 
 def kstep(b, img, hess, alpha, tol=1e-8, x0=None):
-    """Kernel update: min ||vec(B) - A(I) vec(K)||^2 + alpha vec(K)' H vec(K)
-    over the simplex, the shapes picking the data model.
+    """Kernel update: min ||vec(B) - W A(I) vec(K)||^2 + alpha vec(K)' H vec(K)
+    over the simplex. W keeps B's central window of the img.shape + m - 1
+    full-convolution grid: all of it, or img's shape for a cropped B.
 
-    B of shape img.shape + m - 1 is the full-convolution output of img; the
-    Gram matrix and adjoint product of A(I) are FFT correlations. B of img's
-    shape is the central window of the convolution; the Gram matrix and
-    adjoint product of the window's Toeplitz rows are summed over blocks of
-    CROP_BLOCK_ROWS rows. A 1 x 1 kernel makes the two the same problem."""
+    Q is the FFT Gram of A(I) minus the Gram of the frame's Toeplitz rows
+    (the grid outside the window, summed over blocks: a perimeter's worth);
+    c is the FFT adjoint of B zero-embedded in the grid."""
     b = as_image(b)
     img = as_image(img)
     m1, m2 = hess.m1, hess.m2
     _, grid = latent_grid(img.shape, (m1, m2), assume_full=False)
-    if b.shape == grid:
-        q = toeplitz_gram(img, m1, m2)
-        c = -2.0 * toeplitz_apply_adjoint(img, b, m1, m2)
-    elif b.shape == img.shape:
-        q = np.zeros((m1 * m2, m1 * m2))
-        c = np.zeros(m1 * m2)
-        for rows, blk in toeplitz_row_blocks(img, m1, m2, CROP_BLOCK_ROWS,
-                                             central_window(grid, b.shape)):
-            q += blk.T @ blk
-            c -= 2.0 * (blk.T @ b[rows].ravel())
-    else:
+    if b.shape not in (grid, img.shape):
         raise ValueError("blurry/latent/kernel sizes are inconsistent")
+    window = central_window(grid, b.shape)
+    frame = np.ones(grid, dtype=bool)
+    frame[window] = False
+    embedded = np.zeros(grid)
+    embedded[window] = b
+    q = toeplitz_gram(img, m1, m2)
+    for blk in toeplitz_row_blocks(img, m1, m2, frame):
+        q -= blk.T @ blk
+    c = -2.0 * toeplitz_apply_adjoint(img, embedded, m1, m2)
     q = 0.5 * (q + q.T) + alpha * hess.matrix
     sol = solve_qp(QpProblem(q, c), tol=tol, x0=x0)
     return devectorize(sol.point, m1, m2), sol

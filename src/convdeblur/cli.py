@@ -58,13 +58,7 @@ def write_csv(path, header, rows):
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
-
-
-def _fmt(v):
-    if isinstance(v, float):
-        return repr(v)
-    return str(v)
+            fh.write(",".join(map(str, row)) + "\n")
 
 
 # Options shared by several subcommands. A click.option decorator makes a new
@@ -276,6 +270,9 @@ def synth_cmd(image_kind, size, kernel_size, seed, kernel_family,
               kernel_param, noise, out):
     """Generate a seeded synthetic blur case (sharp, blurry, true kernel)."""
     sharp = load_scene(image_kind, size, seed)
+    for kv in kernel_param:
+        if "=" not in kv:
+            raise ValueError(f"--kernel-param {kv!r} is not key=value")
     params = {key: float(val) for key, val in
               (kv.split("=", 1) for kv in kernel_param)}
     k = synth.make_kernel(kernel_family, kernel_size, params, seed=seed)

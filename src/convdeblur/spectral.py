@@ -14,14 +14,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .features import DELTA, apply_filter
-from .tensorops import as_image, toeplitz_gram, toeplitz_row_blocks
+from .tensorops import BLOCK_ROWS, as_image, toeplitz_gram, toeplitz_row_blocks
 # Not used here: the traced benchmark run (perfbench/tracing.py) wraps this
 # name and requires it to exist.
 from .tensorops import toeplitz  # noqa: F401
 
-# Toeplitz rows per streamed QR block of method 'svd', at least 2*s1*s2
-# (whole output rows of the convolution, at least one)
-TSQR_BLOCK_ROWS = 1024
 # Method 'gram' warns below this sigma_min / sigma_max. Its eigenvalues carry
 # an absolute error of about eps * sigma_max^2, a relative sigma error of
 # about eps * (sigma_max / sigma_i)^2: 1% at a ratio of 3.5e-8.
@@ -55,8 +52,8 @@ def _toeplitz_r(x, k1, k2):
     as many rows as R, so each QR mostly factors new rows.
     """
     r = np.zeros((0, k1 * k2))
-    for _, block in toeplitz_row_blocks(
-            x, k1, k2, max(TSQR_BLOCK_ROWS, 2 * k1 * k2)):
+    for block in toeplitz_row_blocks(
+            x, k1, k2, block_rows=max(BLOCK_ROWS, 2 * k1 * k2)):
         r = np.linalg.qr(np.vstack((r, block)), mode="r")
     return r
 

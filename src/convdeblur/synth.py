@@ -46,6 +46,9 @@ def make_kernel(family, size, params=None, seed=0):
     if size < 1:
         raise ValueError("kernel size must be >= 1")
     params = dict(params or {})
+    for key in ("length", "count", "steps"):
+        if not float(params.get(key, 0)).is_integer():
+            raise ValueError(f"{key} must be an integer, got {params[key]!r}")
     k = np.zeros((size, size))
     center = (size - 1) / 2.0
     rng = np.random.default_rng(seed)

@@ -10,13 +10,16 @@ Products with the Toeplitz operator of an image (its Gram matrix, its
 adjoint) are FFT correlations on the smallest fast grid on which the lags
 they need do not wrap: l + min(k, l) - 1 for the Gram matrix, whose lags
 past the image are exact zeros, and the right-hand side's size for the
-adjoint. `toeplitz_row_blocks` streams the operator's rows a block at a
-time, and `toeplitz` builds the explicit matrix, whose size grows with
-pixels times probe size (tests use it as the reference).
+adjoint. `toeplitz_row_blocks` streams the rows of masked output pixels a
+block at a time, and `toeplitz` builds the explicit matrix, whose size grows
+with pixels times probe size (tests use it as the reference).
 """
 
 import numpy as np
 from scipy import fft as sfft
+
+# Toeplitz rows per block of toeplitz_row_blocks
+BLOCK_ROWS = 1024
 
 
 def as_image(x):
@@ -119,24 +122,28 @@ def toeplitz(x, k1, k2):
     return a.reshape(out1 * out2, k1 * k2)
 
 
-def toeplitz_row_blocks(x, k1, k2, block_rows,
-                        window=(slice(None), slice(None))):
-    """Row blocks of toeplitz(x, k1, k2), generated from x on the fly.
-
-    window is a pair of slices of the (l1+k1-1) x (l2+k2-1) output grid
-    (default: all of it). Yields (rows, block): rows slices the window's
-    output rows and block holds their Toeplitz rows, row-major, about
-    block_rows of them (whole output rows, at least one).
+def toeplitz_row_blocks(x, k1, k2, mask=None, block_rows=BLOCK_ROWS):
+    """Row blocks of toeplitz(x, k1, k2), generated from x on the fly: the
+    rows of the true pixels of mask, a boolean array over the (l1+k1-1) x
+    (l2+k2-1) output grid (default: all of it), row-major, in blocks of
+    block_rows rounded down to whole grid rows (at least one). An empty mask
+    yields no block.
     """
+    out = (x.shape[0] + k1 - 1, x.shape[1] + k2 - 1)
+    mask = np.ones(out, dtype=bool) if mask is None else mask
+    if mask.shape != out:
+        raise ValueError(f"mask shape {mask.shape} is not the grid {out}")
+    pixels = np.flatnonzero(mask)
+    if pixels.size == 0:
+        return
     # the flipped k1 x k2 window of the zero-embedded x at output pixel
     # (i, j) is row (i, j) of the Toeplitz matrix
     padded = np.pad(x, ((k1 - 1, k1 - 1), (k2 - 1, k2 - 1)))
     windows = np.lib.stride_tricks.sliding_window_view(padded, (k1, k2))
-    windows = windows[window][:, :, ::-1, ::-1]
-    out1, out2 = windows.shape[:2]
-    step = max(1, block_rows // out2)
-    for i in range(0, out1, step):
-        yield slice(i, i + step), windows[i:i + step].reshape(-1, k1 * k2)
+    step = max(1, block_rows // out[1]) * out[1]
+    for start in range(0, pixels.size, step):
+        i, j = np.unravel_index(pixels[start:start + step], out)
+        yield windows[i, j, ::-1, ::-1].reshape(-1, k1 * k2)
 
 
 def lag_gram(lags, k1, k2):

@@ -10,10 +10,11 @@ from convdeblur.blind import (DeblurConfig, alpha_sweep, blind_deblur,
                               impulse_distance, kstep)
 from convdeblur.features import make_log
 from convdeblur.metrics import psnr
-from convdeblur.regularizer import build_hessian
+from convdeblur.regularizer import RegularizerHessian, build_hessian
 from convdeblur.spectral import conv_spectrum
 from convdeblur.synth import kernel_error, make_kernel, make_test_image, synth_blur
-from convdeblur.tensorops import toeplitz, vectorize
+from convdeblur.tensorops import (central_window, conv2d_full, toeplitz,
+                                  vectorize)
 
 
 @pytest.fixture(scope="module")
@@ -45,21 +46,53 @@ class TestKstep:
         assert np.linalg.norm(vectorize(k_fast) - sol.point) < 1e-6
 
     def test_cropped_gram_matches_explicit_toeplitz(self, case, monkeypatch):
-        # the QP of a cropped kstep, summed over row blocks of the window,
-        # is that of the explicit Toeplitz rows of the window
-        img, _, b, _, hess = case
-        window = b[2:50, 2:50]
+        # the QP of a cropped kstep, the FFT Gram less the frame's rows, is
+        # that of the explicit Toeplitz rows of the window: on the fixture;
+        # with an even kernel, whose frame is a row and a column wider on
+        # the far side; with a non-square kernel and image; and with a
+        # kernel longer than the image along one axis
+        img, k0, _, _, hess = case
+        rng = np.random.default_rng(4)
+        inputs = [(img, k0, hess)]
+        for xs, ks in (((48, 48), (4, 4)), ((20, 13), (5, 3)),
+                       ((7, 9), (9, 6))):
+            x = img if xs == img.shape else rng.random(xs)
+            eye = RegularizerHessian(*ks, np.eye(ks[0] * ks[1]))
+            inputs.append((x, rng.random(ks), eye))
         problems = []
         real = blind.solve_qp
         monkeypatch.setattr(blind, "solve_qp",
                             lambda p, **kw: problems.append(p) or real(p, **kw))
-        kstep(window, img, hess, alpha=0.1)
-        a = toeplitz(img, 5, 5).reshape(52, 52, 25)[2:50, 2:50].reshape(-1, 25)
-        q = a.T @ a + 0.1 * hess.matrix
-        c = -2.0 * (a.T @ window.ravel())
-        (p,) = problems
-        assert np.linalg.norm(p.q - q) <= 1e-12 * np.linalg.norm(q)
-        assert np.linalg.norm(p.c - c) <= 1e-12 * np.linalg.norm(c)
+        for x, k, h in inputs:
+            m = h.m1 * h.m2
+            grid = (x.shape[0] + h.m1 - 1, x.shape[1] + h.m2 - 1)
+            window = central_window(grid, x.shape)
+            b = conv2d_full(x, k)[window]
+            kstep(b, x, h, alpha=0.1)
+            a = toeplitz(x, h.m1, h.m2).reshape(grid + (m,))[window]
+            a = a.reshape(-1, m)
+            q = a.T @ a + 0.1 * h.matrix
+            c = -2.0 * (a.T @ b.ravel())
+            p = problems.pop()
+            assert np.linalg.norm(p.q - q) <= 1e-12 * np.linalg.norm(q)
+            assert np.linalg.norm(p.c - c) <= 1e-12 * np.linalg.norm(c)
+
+    def test_only_the_frame_rows_are_streamed(self, case, monkeypatch):
+        # a cropped kstep streams the Toeplitz rows of the grid outside the
+        # window, 52^2 - 48^2 of them; with full data there is no frame
+        img, _, b, _, hess = case
+        streamed = []
+        real = blind.toeplitz_row_blocks
+
+        def counting(*args, **kwargs):
+            for blk in real(*args, **kwargs):
+                streamed.append(len(blk))
+                yield blk
+        monkeypatch.setattr(blind, "toeplitz_row_blocks", counting)
+        kstep(b, img, hess, alpha=0.1)
+        assert streamed == []
+        kstep(b[2:50, 2:50], img, hess, alpha=0.1)
+        assert sum(streamed) == 52 * 52 - 48 * 48
 
     def test_cropped_memory_is_independent_of_operator_size(self):
         # the explicit 268^2 x 169 Toeplitz matrix alone would take 97 MB

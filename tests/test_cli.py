@@ -353,6 +353,20 @@ def test_values_that_do_nothing_are_validation_errors(runner, blurry_pgm,
     assert message in r.stderr
 
 
+@pytest.mark.parametrize("param, message", [
+    ("sigma", "--kernel-param 'sigma' is not key=value"),
+    ("length=7.9", "length must be an integer"),
+], ids=["no-equals", "fractional-length"])
+def test_bad_kernel_param_is_a_validation_error(runner, tmp_path, param,
+                                                message):
+    r = runner.invoke(main, ["synth", "--size", "16", "--kernel-size", "9",
+                             "--kernel-family", "motion-line",
+                             "--kernel-param", param,
+                             "-o", str(tmp_path / "case")])
+    assert r.exit_code == 2, r.output
+    assert message in r.stderr
+
+
 def test_config_keys_are_flag_names(runner, tmp_path):
     # --lambda's parameter is named lam; the config key is the flag name
     img = make_test_image("polygons", 32, seed=2)

@@ -40,6 +40,18 @@ class TestMakeKernel:
         with pytest.raises(ValueError):
             make_kernel("gaussian", 0)
 
+    @pytest.mark.parametrize("family, key", [("motion-line", "length"),
+                                             ("random-sparse", "count"),
+                                             ("curve", "steps")])
+    def test_counts_must_be_integers(self, family, key):
+        # 7.9 would otherwise truncate to the 7 of another kernel
+        with pytest.raises(ValueError, match=f"{key} must be an integer"):
+            make_kernel(family, 9, {key: 7.9})
+        with pytest.raises(ValueError, match=key):
+            make_kernel(family, 9, {key: float("inf")})
+        assert np.array_equal(make_kernel(family, 9, {key: 7.0}, seed=2),
+                              make_kernel(family, 9, {key: 7}, seed=2))
+
 
 class TestMakeTestImage:
     @pytest.mark.parametrize("kind", IMAGE_KINDS)

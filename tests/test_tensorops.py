@@ -5,10 +5,11 @@ import sys
 import numpy as np
 import pytest
 
-from convdeblur.tensorops import (as_image, conv2d_full, devectorize,
-                                  latent_grid, toeplitz,
+from convdeblur.tensorops import (as_image, central_window, conv2d_full,
+                                  devectorize, latent_grid, toeplitz,
                                   toeplitz_apply_adjoint, toeplitz_gram,
-                                  validate_kernel, vectorize)
+                                  toeplitz_row_blocks, validate_kernel,
+                                  vectorize)
 
 
 def brute_conv_full(x, y):
@@ -174,6 +175,56 @@ class TestNoWrapCorrelation:
         b = rng.standard_normal((xs[0] + ks[0] - 1, xs[1] + ks[1] - 1))
         ref = toeplitz(x, *ks).T @ b.ravel()
         assert rel_err(toeplitz_apply_adjoint(x, b, *ks), ref) <= 1e-12
+
+
+def frame_mask(grid, window):
+    """True on the grid outside the central window."""
+    mask = np.ones(grid, dtype=bool)
+    mask[central_window(grid, window)] = False
+    return mask
+
+
+# (image shape, probe shape, mask builder on the output grid, block_rows):
+# no mask; a central window; its frame, with an odd and an even probe;
+# block_rows of one pixel, and of one, two and five grid rows; 1 x 1
+# probes; non-square images; a scattered mask
+ROW_BLOCK_CASES = [
+    ((9, 7), (3, 2), lambda g: None, 16),
+    ((9, 7), (3, 3), lambda g: ~frame_mask(g, (9, 7)), 19),
+    ((9, 7), (3, 3), lambda g: frame_mask(g, (9, 7)), 9),
+    ((8, 8), (4, 4), lambda g: frame_mask(g, (8, 8)), 1024),
+    ((6, 5), (2, 3), lambda g: frame_mask(g, (6, 5)), 1),
+    ((6, 5), (1, 1), lambda g: None, 25),
+    ((5, 12), (4, 2), lambda g: np.random.default_rng(3).random(g) < 0.3, 26),
+]
+
+
+class TestToeplitzRowBlocks:
+    @pytest.mark.parametrize("xs, ks, make_mask, block_rows", ROW_BLOCK_CASES)
+    def test_stacked_blocks_are_the_masked_rows(self, xs, ks, make_mask,
+                                                block_rows):
+        x = np.random.default_rng(14).standard_normal(xs)
+        grid = (xs[0] + ks[0] - 1, xs[1] + ks[1] - 1)
+        mask = make_mask(grid)
+        blocks = list(toeplitz_row_blocks(x, *ks, mask, block_rows))
+        rows = toeplitz(x, *ks)
+        expected = rows if mask is None else rows[mask.ravel()]
+        assert np.array_equal(np.vstack(blocks), expected)
+        # block_rows rounded down to whole grid rows, at least one
+        step = max(1, block_rows // grid[1]) * grid[1]
+        assert all(len(blk) == step for blk in blocks[:-1])
+        assert 0 < len(blocks[-1]) <= step
+
+    def test_empty_mask_yields_nothing(self):
+        x = np.ones((4, 4))
+        mask = frame_mask((4, 4), (4, 4))   # a 1 x 1 probe has no frame
+        assert not mask.any()
+        assert list(toeplitz_row_blocks(x, 1, 1, mask)) == []
+
+    def test_mask_off_the_grid_rejected(self):
+        with pytest.raises(ValueError, match="grid"):
+            next(toeplitz_row_blocks(np.ones((4, 4)), 3, 3,
+                                     np.ones((4, 4), dtype=bool)))
 
 
 class TestValidation:
