@@ -147,6 +147,14 @@ def subcommand(group, name, *options):
     return register
 
 
+def to_float(text, what):
+    """float(text), or a ValueError that names what and the bad text."""
+    try:
+        return float(text)
+    except ValueError:
+        raise ValueError(f"{what}: {text!r} is not a number") from None
+
+
 def spectrum_of(img, s, feature="log", log_sigma=1.0, method="gram"):
     """Convolution spectrum of img on s x s probes under the named filter."""
     return conv_spectrum(img, get_filter(feature, log_sigma), s, s, method)
@@ -270,11 +278,11 @@ def synth_cmd(image_kind, size, kernel_size, seed, kernel_family,
               kernel_param, noise, out):
     """Generate a seeded synthetic blur case (sharp, blurry, true kernel)."""
     sharp = load_scene(image_kind, size, seed)
-    for kv in kernel_param:
-        if "=" not in kv:
-            raise ValueError(f"--kernel-param {kv!r} is not key=value")
-    params = {key: float(val) for key, val in
-              (kv.split("=", 1) for kv in kernel_param)}
+    params = {}
+    for key, eq, val in (kv.partition("=") for kv in kernel_param):
+        if not eq:
+            raise ValueError(f"--kernel-param {key!r} is not key=value")
+        params[key] = to_float(val, f"--kernel-param {key + eq + val!r}")
     k = synth.make_kernel(kernel_family, kernel_size, params, seed=seed)
     b, _ = synth.synth_blur(sharp, k, eps=noise, seed=seed)
     imgio.save_image(os.path.join(out, "sharp.pgm"), sharp)
@@ -348,7 +356,7 @@ def eval_cmd(case_dir, kernel_size, feature, log_sigma, method, lam, out):
                          help="comma-separated alpha values"), *DEBLUR)
 def sweep_cmd(image, alphas, out, **options):
     """Run blind deblurring over a list of alpha values."""
-    alist = [float(a) for a in alphas.split(",") if a.strip()]
+    alist = [to_float(a, "--alphas") for a in alphas.split(",") if a.strip()]
     rows = blind.alpha_sweep(imgio.load_image(image), deblur_config(**options),
                              alist)
     write_csv(os.path.join(out, "sweep.csv"),

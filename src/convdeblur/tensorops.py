@@ -13,10 +13,10 @@ past the image are exact zeros, and the right-hand side's size for the
 adjoint. `toeplitz_row_blocks` streams the rows of masked output pixels a
 block at a time, and `toeplitz` builds the explicit matrix, whose size grows
 with pixels times probe size (tests use it as the reference).
+`rfft2`, `irfft2` and `fast_len` match scipy.fft bit for bit, without scipy.
 """
 
 import numpy as np
-from scipy import fft as sfft
 
 # Toeplitz rows per block of toeplitz_row_blocks
 BLOCK_ROWS = 1024
@@ -80,16 +80,39 @@ def conv2d_full(x, y):
     return out
 
 
-def _fast_shape(shape):
-    return [sfft.next_fast_len(n, True) for n in shape]
+def fast_len(n):
+    """Smallest 2^a 3^b 5^c >= n, the sizes pocketfft transforms fastest."""
+    best, p5 = 1 << (n - 1).bit_length(), 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:  # p35 times the least power of two reaching n
+            best = min(best, p35 << (-(-n // p35) - 1).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
+def rfft2(x, s):
+    """Half-spectrum of x cut or zero-padded to shape s, built in one array."""
+    fx = np.zeros((s[0], s[1] // 2 + 1), complex)
+    np.fft.rfft(x[:s[0]], s[1], axis=1, out=fx[:len(x)])
+    return np.fft.fft(fx, axis=0, out=fx)
+
+
+def irfft2(fx, s):
+    """Inverse of rfft2 to shape s: unscaled passes, then pocketfft's factor."""
+    x = np.fft.irfft(np.fft.ifft(fx, s[0], axis=0, norm="forward"), s[1],
+                     axis=1, norm="forward")
+    x *= float(1 / np.longdouble(s[0] * s[1]))
+    return x
 
 
 def _fft_conv_full(x, y):
     """Full 2D convolution by real FFTs padded to fast lengths."""
     shape = (x.shape[0] + y.shape[0] - 1, x.shape[1] + y.shape[1] - 1)
-    fshape = _fast_shape(shape)
-    prod = sfft.rfft2(x, fshape) * sfft.rfft2(y, fshape)
-    return sfft.irfft2(prod, fshape)[:shape[0], :shape[1]]
+    fshape = [fast_len(n) for n in shape]
+    prod = rfft2(x, fshape) * rfft2(y, fshape)
+    return irfft2(prod, fshape)[:shape[0], :shape[1]]
 
 
 def vectorize(x):
@@ -179,9 +202,9 @@ def toeplitz_gram(x, k1, k2):
     """
     x = as_image(x)
     r1, r2 = min(k1, x.shape[0]), min(k2, x.shape[1])
-    fshape = _fast_shape((x.shape[0] + r1 - 1, x.shape[1] + r2 - 1))
-    fx = sfft.rfft2(x, fshape)
-    corr = sfft.irfft2(fx.real ** 2 + fx.imag ** 2, fshape)
+    fshape = (fast_len(x.shape[0] + r1 - 1), fast_len(x.shape[1] + r2 - 1))
+    fx = rfft2(x, fshape)
+    corr = irfft2(fx.real ** 2 + fx.imag ** 2, fshape)
     # lags -(r-1) .. r-1 in order, negative ones read from the grid's end
     lags = corr[np.ix_(np.arange(1 - r1, r1), np.arange(1 - r2, r2))]
     return lag_gram(lags, k1, k2)
@@ -195,6 +218,6 @@ def toeplitz_apply_adjoint(x, b, k1, k2):
     b = as_image(b)
     if b.shape != (x.shape[0] + k1 - 1, x.shape[1] + k2 - 1):
         raise ValueError(f"rhs shape {b.shape} inconsistent with operator")
-    fshape = _fast_shape(b.shape)
-    prod = sfft.rfft2(b, fshape) * np.conj(sfft.rfft2(x, fshape))
-    return sfft.irfft2(prod, fshape)[:k1, :k2].ravel()
+    fshape = [fast_len(n) for n in b.shape]
+    prod = rfft2(b, fshape) * np.conj(rfft2(x, fshape))
+    return irfft2(prod, fshape)[:k1, :k2].ravel()

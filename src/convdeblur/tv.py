@@ -26,9 +26,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import fft as sfft
 
-from .tensorops import as_image, central_window, latent_grid, validate_kernel
+from .tensorops import (as_image, central_window, irfft2, latent_grid, rfft2,
+                        validate_kernel)
 
 # ADMM penalty of the y = pad(I) and g = grad(I) splits
 ADMM_PENALTY = 0.1
@@ -143,12 +143,12 @@ def tv_deconv(b, k, cfg=None, assume_full=True, state=None):
     cfg = cfg or TvSolverConfig()
     shape, grid = latent_grid(b.shape, k.shape, assume_full)
     n1, n2 = shape
-    fk = sfft.rfft2(k, s=grid)   # k zero-embedded at the grid's top left
+    fk = rfft2(k, grid)   # k zero-embedded at the grid's top left
 
     if cfg.lam == 0.0 and assume_full:
         # no regularizer: the inverse filter (see the docstring)
-        img = sfft.irfft2(np.conj(fk) * sfft.rfft2(b)
-                          / np.maximum(np.abs(fk) ** 2, 1e-30), s=grid)
+        img = irfft2(np.conj(fk) * rfft2(b, grid)
+                     / np.maximum(np.abs(fk) ** 2, 1e-30), grid)
         return TvResult(img[:n1, :n2].copy(), 1, True)
 
     # Splits: v = K*y carries the data term under the observation mask,
@@ -160,7 +160,7 @@ def tv_deconv(b, k, cfg=None, assume_full=True, state=None):
     if assume_full:
         # the mask is all ones: v = (2 b + mu (K*y - uv)) / (2 + mu) is
         # pointwise in Fourier space too
-        fb2 = sfft.rfft2(b) * (2.0 / (2.0 + mu))
+        fb2 = rfft2(b, grid) * (2.0 / (2.0 + mu))
     else:
         window = central_window(grid, b.shape)
         # 2 mask b and 2 mask + mu, mask being 1 on the observed window only
@@ -180,7 +180,7 @@ def tv_deconv(b, k, cfg=None, assume_full=True, state=None):
         img = b[central_window(b.shape, shape)]
         y = np.zeros(grid)
         y[:n1, :n2] = img
-        fy = sfft.rfft2(y)
+        fy = rfft2(y, grid)
         state = AdmmState(fy, fk * fy, _grad(img), np.zeros_like(fy),
                           np.zeros_like(fy), np.zeros((2, n1, n2)), grid)
     elif state.grid != grid or state.grad.shape != (2, n1, n2):
@@ -200,24 +200,23 @@ def tv_deconv(b, k, cfg=None, assume_full=True, state=None):
     while it < cfg.max_inner:
         # I: (1 + grad'grad) I = pad'(y + uy) + grad'(g + ug), as pad'pad = 1
         _grad_adjoint(np.add(g, ug, out=gsum), rhs)
-        rhs += sfft.irfft2(np.add(fy, fuy, out=tmp), s=grid,
-                           overwrite_x=True)[:n1, :n2]
-        frhs = sfft.rfft2(rhs)
+        rhs += irfft2(np.add(fy, fuy, out=tmp), grid)[:n1, :n2]
+        frhs = rfft2(rhs, shape)
         frhs *= i_inv
-        new = sfft.irfft2(frhs, s=shape, overwrite_x=True)
+        new = irfft2(frhs, shape)
         padded[:n1, :n2] = new
-        fpad = sfft.rfft2(padded)
+        fpad = rfft2(padded, grid)
         # v: (2 mask + mu) v = 2 mask b + mu (K*y - uv), pointwise
         fv = np.subtract(fky, fuv, out=fv_buf)
         if assume_full:
             fv *= mu / (2.0 + mu)
             fv += fb2
         else:
-            v = sfft.irfft2(fv, s=grid, overwrite_x=True)
+            v = irfft2(fv, grid)
             v *= mu
             v += b2
             v /= v_den
-            fv = sfft.rfft2(v)
+            fv = rfft2(v, grid)
         # y: (mu K'K + rho) y = mu K'(v + uv) + rho (pad(I) - uy)
         fy = np.add(fv, fuv, out=fy_buf)
         fy *= wv

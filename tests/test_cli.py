@@ -272,6 +272,13 @@ def test_sweep_empty_alpha_list_is_a_validation_error(runner, blurry_pgm,
     assert "alpha list is empty" in r.stderr
 
 
+def test_sweep_bad_alpha_is_a_validation_error(runner, blurry_pgm, tmp_path):
+    r = runner.invoke(main, ["sweep", blurry_pgm, "--kernel-size", "5",
+                             "--alphas", "0.1,abc", "-o", str(tmp_path)])
+    assert r.exit_code == 2, r.output
+    assert "--alphas: 'abc' is not a number" in r.stderr
+
+
 
 @pytest.mark.parametrize("command", [
     ["estimate-kernel"],
@@ -356,7 +363,8 @@ def test_values_that_do_nothing_are_validation_errors(runner, blurry_pgm,
 @pytest.mark.parametrize("param, message", [
     ("sigma", "--kernel-param 'sigma' is not key=value"),
     ("length=7.9", "length must be an integer"),
-], ids=["no-equals", "fractional-length"])
+    ("sigma=abc", "--kernel-param 'sigma=abc': 'abc' is not a number"),
+], ids=["no-equals", "fractional-length", "not-a-number"])
 def test_bad_kernel_param_is_a_validation_error(runner, tmp_path, param,
                                                 message):
     r = runner.invoke(main, ["synth", "--size", "16", "--kernel-size", "9",

@@ -4,12 +4,13 @@ import sys
 
 import numpy as np
 import pytest
+from scipy import fft as sfft
 
 from convdeblur.tensorops import (as_image, central_window, conv2d_full,
-                                  devectorize, latent_grid, toeplitz,
-                                  toeplitz_apply_adjoint, toeplitz_gram,
-                                  toeplitz_row_blocks, validate_kernel,
-                                  vectorize)
+                                  devectorize, fast_len, irfft2, latent_grid,
+                                  rfft2, toeplitz, toeplitz_apply_adjoint,
+                                  toeplitz_gram, toeplitz_row_blocks,
+                                  validate_kernel, vectorize)
 
 
 def brute_conv_full(x, y):
@@ -177,6 +178,30 @@ class TestNoWrapCorrelation:
         assert rel_err(toeplitz_apply_adjoint(x, b, *ks), ref) <= 1e-12
 
 
+class TestFftMatchesScipy:
+    """The numpy.fft helpers return scipy.fft's results bit for bit."""
+
+    def test_fast_len(self):
+        ns = range(1, 5001)
+        assert [fast_len(n) for n in ns] == [sfft.next_fast_len(n, True)
+                                             for n in ns]
+
+    def test_transforms(self):
+        rng = np.random.default_rng(14)
+        for n in range(1, 321):
+            # one odd and one even side; s the same, both parities flipped,
+            # padded to fast lengths, and cut or padded to grids whose
+            # 1/(s0 s1) in double differs from pocketfft's, rounded from
+            # long double
+            x = rng.standard_normal((n, 321 - n))
+            for s in (x.shape, (n + 1, 322 - n),
+                      (fast_len(n + 4), fast_len(325 - n)), (63, 89),
+                      (67, 69)):
+                fx = rfft2(x, s)
+                assert np.array_equal(fx, sfft.rfft2(x, s)), (x.shape, s)
+                assert np.array_equal(irfft2(fx, s), sfft.irfft2(fx, s)), s
+
+
 def frame_mask(grid, window):
     """True on the grid outside the central window."""
     mask = np.ones(grid, dtype=bool)
@@ -242,10 +267,13 @@ class TestValidation:
 
 
 def test_import_leaves_scipy_signal_out():
-    # scipy.signal and what it pulls in cost most of the package's import
+    # the package and its CLI load no scipy module: scipy.signal and then
+    # scipy.fft cost most of the import
     import convdeblur
     src = os.path.dirname(os.path.dirname(convdeblur.__file__))
     env = dict(os.environ, PYTHONPATH=src)
-    code = ("import sys, convdeblur; "
-            "sys.exit('scipy.signal' in sys.modules)")
-    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+    code = ("import sys, convdeblur, convdeblur.cli; "
+            "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
