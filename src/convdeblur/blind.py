@@ -16,8 +16,8 @@ from .features import get_filter
 from .regularizer import build_hessian, h_value
 from .simplex_qp import QpProblem, solve_qp
 from .spectral import conv_spectrum
-from .tensorops import (_fft_conv_full, as_image, central_window, devectorize,
-                        latent_grid, toeplitz_apply_adjoint, toeplitz_gram,
+from .tensorops import (Observation, _fft_conv_full, as_image, central_window,
+                        devectorize, toeplitz_apply_adjoint, toeplitz_gram,
                         toeplitz_row_blocks, vectorize)
 # Not used here: the traced benchmark run (perfbench/tracing.py) wraps these
 # names and requires them to exist.
@@ -69,10 +69,13 @@ class DeblurConfig:
     def __post_init__(self):
         if self.m1 < 1 or self.m2 < 1:
             raise ValueError("kernel sizes must be >= 1")
-        if self.alpha < 0 or self.lam < 0:
-            raise ValueError("alpha and lam must be nonnegative")
+        if not (0 <= self.alpha < math.inf and 0 <= self.lam < math.inf):
+            raise ValueError("alpha and lam must be nonnegative and finite")
         if self.max_outer < 1:
             raise ValueError("max_outer must be >= 1")
+        if self.spectrum_method not in ("svd", "gram"):
+            raise ValueError(f"unknown spectrum method {self.spectrum_method!r}")
+        self.filter()   # an unknown feature or a bad log_sigma raises here
         self.s1 = sample_size(self.m1, self.s1)
         self.s2 = sample_size(self.m2, self.s2)
         if self.s1 < 1 or self.s2 < 1:
@@ -91,29 +94,21 @@ class DeblurResult:
     converged: bool
 
 
-def kstep(b, img, hess, alpha, tol=1e-8, x0=None):
+def kstep(obs, img, hess, alpha, tol=1e-8, x0=None):
     """Kernel update: min ||vec(B) - W A(I) vec(K)||^2 + alpha vec(K)' H vec(K)
-    over the simplex. W keeps B's central window of the img.shape + m - 1
-    full-convolution grid: all of it, or img's shape for a cropped B.
+    over the simplex, B and its window W given by the Observation obs, whose
+    latent and kernel shapes img and hess must have.
 
-    Q is the FFT Gram of A(I) minus the Gram of the frame's Toeplitz rows
-    (the grid outside the window, summed over blocks: a perimeter's worth);
-    c is the FFT adjoint of B zero-embedded in the grid."""
-    b = as_image(b)
-    img = as_image(img)
-    m1, m2 = hess.m1, hess.m2
-    _, grid = latent_grid(img.shape, (m1, m2), assume_full=False)
-    if b.shape not in (grid, img.shape):
+    Q is the FFT Gram of A(I) minus the Gram of the Toeplitz rows of obs's
+    frame (summed over blocks: a perimeter's worth, none for full data); c
+    is the FFT adjoint of obs's zero-embedded B."""
+    img, (m1, m2) = as_image(img), obs.k_shape
+    if img.shape != obs.shape or (hess.m1, hess.m2) != obs.k_shape:
         raise ValueError("blurry/latent/kernel sizes are inconsistent")
-    window = central_window(grid, b.shape)
-    frame = np.ones(grid, dtype=bool)
-    frame[window] = False
-    embedded = np.zeros(grid)
-    embedded[window] = b
     q = toeplitz_gram(img, m1, m2)
-    for blk in toeplitz_row_blocks(img, m1, m2, frame):
+    for blk in toeplitz_row_blocks(img, m1, m2, obs.frame):
         q -= blk.T @ blk
-    c = -2.0 * toeplitz_apply_adjoint(img, embedded, m1, m2)
+    c = -2.0 * toeplitz_apply_adjoint(img, obs.embedded, m1, m2)
     q = 0.5 * (q + q.T) + alpha * hess.matrix
     sol = solve_qp(QpProblem(q, c), tol=tol, x0=x0)
     return devectorize(sol.point, m1, m2), sol
@@ -127,10 +122,9 @@ def estimate_kernel(spec, m1, m2):
     return devectorize(sol.point, m1, m2), hess, sol
 
 
-def blind_objective(b, img, k, lam, alpha, hess):
-    """The objective, B matched to the central window of img (x) k."""
-    pred = _fft_conv_full(img, k)
-    resid = b - pred[central_window(pred.shape, b.shape)]
+def blind_objective(obs, img, k, lam, alpha, hess):
+    """The objective at (img, k), B matched to its window of img (x) k."""
+    resid = obs.b - _fft_conv_full(img, k)[obs.window]
     return float(np.sum(resid * resid)) + lam * total_variation(img) \
         + alpha * h_value(hess, k)
 
@@ -161,10 +155,9 @@ def blind_deblur(b, cfg, spectrum=None, hessian=None):
     falls by the factor LAM_DECAY each outer iteration down to lam; the run
     can only stop as converged once the weight is lam.
     """
-    b = as_image(b)
-    shape, _ = latent_grid(b.shape, (cfg.m1, cfg.m2), cfg.assume_full)
-    img = b[central_window(b.shape, shape)].copy()
-    hess = _hessian(b, cfg, spectrum, hessian)
+    obs = Observation(b, (cfg.m1, cfg.m2), cfg.assume_full)
+    img = obs.b[central_window(obs.b.shape, obs.shape)].copy()
+    hess = _hessian(obs.b, cfg, spectrum, hessian)
     k = np.full((cfg.m1, cfg.m2), 1.0 / (cfg.m1 * cfg.m2))
     trace = []
     prev_obj = None
@@ -173,16 +166,16 @@ def blind_deblur(b, cfg, spectrum=None, hessian=None):
     state = None
     lam_factor = 1.0
     for it in range(1, cfg.max_outer + 1):
-        k_new, _ = kstep(b, img, hess, cfg.alpha, x0=vectorize(k))
+        k_new, _ = kstep(obs, img, hess, cfg.alpha, x0=vectorize(k))
         if cfg.assume_full:
             lam_factor = max(1.0, LAM_START * LAM_DECAY ** (it - 1))
         tv_cfg = TvSolverConfig(lam=cfg.lam * lam_factor,
                                 max_inner=IMAGE_STEP_ITERS, tol=0.0)
         # the first call starts from the central window that img holds
-        res = tv_deconv(b, k_new, tv_cfg, assume_full=cfg.assume_full,
+        res = tv_deconv(obs.b, k_new, tv_cfg, assume_full=cfg.assume_full,
                         state=state)
         img_new = res.image
-        obj = blind_objective(b, img_new, k_new, cfg.lam, cfg.alpha, hess)
+        obj = blind_objective(obs, img_new, k_new, cfg.lam, cfg.alpha, hess)
         if prev_obj is not None and obj > prev_obj + OBJECTIVE_SLACK * max(1.0, abs(prev_obj)):
             # the objective rose: not a descent step, so stop unconverged
             # and keep the previous (better) iterate

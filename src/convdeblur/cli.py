@@ -148,11 +148,13 @@ def subcommand(group, name, *options):
 
 
 def to_float(text, what):
-    """float(text), or a ValueError that names what and the bad text."""
+    """A finite float(text), or a ValueError naming what and the bad text."""
     try:
-        return float(text)
+        if np.isfinite(float(text)):
+            return float(text)
     except ValueError:
         raise ValueError(f"{what}: {text!r} is not a number") from None
+    raise ValueError(f"{what}: {text!r} is not finite")
 
 
 def spectrum_of(img, s, feature="log", log_sigma=1.0, method="gram"):

@@ -30,8 +30,8 @@ def make_log(sigma=1.0):
     scales all convolution eigenvalues uniformly and cancels in the
     regularizer weights.
     """
-    if sigma <= 0:
-        raise ValueError("sigma must be positive")
+    if not 0 < sigma < np.inf:
+        raise ValueError("sigma must be positive and finite")
     r = int(np.ceil(3.0 * sigma))
     y, x = np.mgrid[-r:r + 1, -r:r + 1].astype(np.float64)
     r2 = (x * x + y * y) / (2.0 * sigma ** 2)

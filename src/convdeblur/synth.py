@@ -55,8 +55,8 @@ def make_kernel(family, size, params=None, seed=0):
 
     if family == "gaussian":
         sigma = float(params.pop("sigma", size / 5.0))
-        if sigma < 0:
-            raise ValueError("sigma must be nonnegative")
+        if not 0 <= sigma < np.inf:
+            raise ValueError("sigma must be nonnegative and finite")
         if sigma < 1e-12:
             k[int(round(center)), int(round(center))] = 1.0
         else:
@@ -65,6 +65,8 @@ def make_kernel(family, size, params=None, seed=0):
     elif family == "motion-line":
         angle = np.deg2rad(float(params.pop("angle", 0.0)))
         length = int(params.pop("length", size))
+        if not np.isfinite(angle):
+            raise ValueError("angle must be finite")
         if length < 1:
             raise ValueError("length must be >= 1")
         t = np.arange(length) - (length - 1) / 2.0
@@ -145,8 +147,8 @@ def synth_blur(i0, k, eps=0.0, seed=0, f=None):
     """
     i0 = as_image(i0)
     k = validate_kernel(k)
-    if eps < 0:
-        raise ValueError("eps must be nonnegative")
+    if not 0 <= eps < np.inf:
+        raise ValueError("eps must be nonnegative and finite")
     b0 = conv2d_full(i0, k)
     if eps == 0.0:
         return b0, np.zeros_like(b0)

@@ -10,9 +10,10 @@ Products with the Toeplitz operator of an image (its Gram matrix, its
 adjoint) are FFT correlations on the smallest fast grid on which the lags
 they need do not wrap: l + min(k, l) - 1 for the Gram matrix, whose lags
 past the image are exact zeros, and the right-hand side's size for the
-adjoint. `toeplitz_row_blocks` streams the rows of masked output pixels a
-block at a time, and `toeplitz` builds the explicit matrix, whose size grows
-with pixels times probe size (tests use it as the reference).
+adjoint. `Observation` places a blurry image on the full-convolution grid.
+`toeplitz_row_blocks` streams the rows of masked output pixels a block at a
+time, and `toeplitz` builds the explicit matrix, whose size grows with
+pixels times probe size (tests use it as the reference).
 `rfft2`, `irfft2` and `fast_len` match scipy.fft bit for bit, without scipy.
 """
 
@@ -50,17 +51,26 @@ def central_window(full_shape, out_shape):
     return slice(o1, o1 + out_shape[0]), slice(o2, o2 + out_shape[1])
 
 
-def latent_grid(b_shape, k_shape, assume_full):
-    """(latent shape, full-convolution grid shape) of an observation of
-    b_shape blurred by a k_shape kernel: the whole full-convolution output
-    (assume_full=True) or its central window at the latent size."""
-    m1, m2 = k_shape
-    if not assume_full:
-        return tuple(b_shape), (b_shape[0] + m1 - 1, b_shape[1] + m2 - 1)
-    shape = (b_shape[0] - m1 + 1, b_shape[1] - m2 + 1)
-    if shape[0] < 1 or shape[1] < 1:
-        raise ValueError("observed image smaller than the kernel")
-    return shape, tuple(b_shape)
+class Observation:
+    """B on the full-convolution grid of a latent image blurred by a k_shape
+    kernel: the whole grid (full=True) or its central latent-size window.
+    Holds B, k_shape, the latent and grid shapes, B's window slices on the
+    grid, the frame mask of the grid outside them, and B zero-embedded."""
+
+    def __init__(self, b, k_shape, full):
+        self.b, self.k_shape = as_image(b), tuple(k_shape)
+        n, m = self.b.shape, self.k_shape
+        if full:
+            self.shape, self.grid = (n[0] - m[0] + 1, n[1] - m[1] + 1), n
+        else:
+            self.shape, self.grid = n, (n[0] + m[0] - 1, n[1] + m[1] - 1)
+        if min(self.shape) < 1 or min(m) < 1:
+            raise ValueError("B smaller than the kernel, or a kernel size < 1")
+        self.window = central_window(self.grid, n)
+        self.frame = np.ones(self.grid, dtype=bool)
+        self.frame[self.window] = False
+        self.embedded = np.zeros(self.grid)
+        self.embedded[self.window] = self.b
 
 
 def conv2d_full(x, y):

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensorops import (as_image, central_window, irfft2, latent_grid, rfft2,
+from .tensorops import (Observation, as_image, central_window, irfft2, rfft2,
                         validate_kernel)
 
 # ADMM penalty of the y = pad(I) and g = grad(I) splits
@@ -45,12 +45,12 @@ class TvSolverConfig:
     tol: float = 1e-5
 
     def __post_init__(self):
-        if self.lam < 0:
-            raise ValueError("lam must be nonnegative")
+        if not 0 <= self.lam < math.inf:
+            raise ValueError("lam must be nonnegative and finite")
         if self.max_inner < 1:
             raise ValueError("max_inner must be >= 1")
-        if self.tol < 0:
-            raise ValueError("tol must be nonnegative")
+        if not 0 <= self.tol < math.inf:
+            raise ValueError("tol must be nonnegative and finite")
 
 
 @dataclass(frozen=True)
@@ -119,11 +119,9 @@ def _grid_sq_norm(fx, grid):
 
 
 def tv_deconv(b, k, cfg=None, assume_full=True, state=None):
-    """Restore the latent image given the blur kernel.
-
-    With assume_full=True, b is the full-convolution output and the latent
-    image has shape b.shape - k.shape + 1. With assume_full=False, b is the
-    central window of the convolution and the latent keeps b's size.
+    """Restore the latent image of Observation(b, k.shape, assume_full)
+    given the blur kernel k: of shape b.shape - k.shape + 1 for full data
+    (assume_full=True), of b's shape for a cropped b.
 
     The image is found by ADMM on the objective of the module docstring. It
     stops as converged once the relative image change and the relative
@@ -138,10 +136,10 @@ def tv_deconv(b, k, cfg=None, assume_full=True, state=None):
     noise the least-squares minimizer is another image, whose data term can
     be under half of the inverse filter's.
     """
-    b = as_image(b)
     k = validate_kernel(k)
     cfg = cfg or TvSolverConfig()
-    shape, grid = latent_grid(b.shape, k.shape, assume_full)
+    obs = Observation(b, k.shape, assume_full)
+    b, shape, grid = obs.b, obs.shape, obs.grid
     n1, n2 = shape
     fk = rfft2(k, grid)   # k zero-embedded at the grid's top left
 
@@ -162,12 +160,9 @@ def tv_deconv(b, k, cfg=None, assume_full=True, state=None):
         # pointwise in Fourier space too
         fb2 = rfft2(b, grid) * (2.0 / (2.0 + mu))
     else:
-        window = central_window(grid, b.shape)
-        # 2 mask b and 2 mask + mu, mask being 1 on the observed window only
-        b2 = np.zeros(grid)
-        b2[window] = 2.0 * b
-        v_den = np.full(grid, mu)
-        v_den[window] += 2.0
+        # 2 mask b and 2 mask + mu, mask being 0 on the frame only
+        b2 = 2.0 * obs.embedded
+        v_den = np.where(obs.frame, mu, mu + 2.0)
     # y-update weights of K'(v + uv) and pad(I) - uy
     y_den = mu * np.abs(fk) ** 2 + rho
     wv = mu * np.conj(fk) / y_den
@@ -178,9 +173,7 @@ def tv_deconv(b, k, cfg=None, assume_full=True, state=None):
         + (2.0 - 2.0 * np.cos(2.0 * np.pi * np.arange(n2 // 2 + 1) / n2))))
     if state is None:
         img = b[central_window(b.shape, shape)]
-        y = np.zeros(grid)
-        y[:n1, :n2] = img
-        fy = rfft2(y, grid)
+        fy = rfft2(img, grid)   # of pad(img): rfft2 zero-pads to the grid
         state = AdmmState(fy, fk * fy, _grad(img), np.zeros_like(fy),
                           np.zeros_like(fy), np.zeros((2, n1, n2)), grid)
     elif state.grid != grid or state.grad.shape != (2, n1, n2):

@@ -13,8 +13,8 @@ from convdeblur.metrics import psnr
 from convdeblur.regularizer import RegularizerHessian, build_hessian
 from convdeblur.spectral import conv_spectrum
 from convdeblur.synth import kernel_error, make_kernel, make_test_image, synth_blur
-from convdeblur.tensorops import (central_window, conv2d_full, toeplitz,
-                                  vectorize)
+from convdeblur.tensorops import (Observation, central_window, conv2d_full,
+                                  toeplitz, vectorize)
 
 
 @pytest.fixture(scope="module")
@@ -31,13 +31,14 @@ class TestKstep:
     def test_recovers_kernel_given_sharp_image(self, case):
         # alpha=0 with the true latent image: the data term alone pins K
         img, k0, b, _, hess = case
-        k, sol = kstep(b, img, hess, alpha=0.0, tol=1e-10)
+        k, sol = kstep(Observation(b, (5, 5), True), img, hess, alpha=0.0,
+                       tol=1e-10)
         assert sol.converged
         assert np.linalg.norm(k - k0) < 1e-5
 
     def test_fft_gram_matches_explicit_toeplitz(self, case):
         img, k0, b, _, hess = case
-        k_fast, _ = kstep(b, img, hess, alpha=0.1)
+        k_fast, _ = kstep(Observation(b, (5, 5), True), img, hess, alpha=0.1)
         a = toeplitz(img, 5, 5)
         from convdeblur.simplex_qp import QpProblem, solve_qp
         q = a.T @ a + 0.1 * hess.matrix
@@ -68,7 +69,7 @@ class TestKstep:
             grid = (x.shape[0] + h.m1 - 1, x.shape[1] + h.m2 - 1)
             window = central_window(grid, x.shape)
             b = conv2d_full(x, k)[window]
-            kstep(b, x, h, alpha=0.1)
+            kstep(Observation(b, (h.m1, h.m2), False), x, h, alpha=0.1)
             a = toeplitz(x, h.m1, h.m2).reshape(grid + (m,))[window]
             a = a.reshape(-1, m)
             q = a.T @ a + 0.1 * h.matrix
@@ -89,9 +90,9 @@ class TestKstep:
                 streamed.append(len(blk))
                 yield blk
         monkeypatch.setattr(blind, "toeplitz_row_blocks", counting)
-        kstep(b, img, hess, alpha=0.1)
+        kstep(Observation(b, (5, 5), True), img, hess, alpha=0.1)
         assert streamed == []
-        kstep(b[2:50, 2:50], img, hess, alpha=0.1)
+        kstep(Observation(b[2:50, 2:50], (5, 5), False), img, hess, alpha=0.1)
         assert sum(streamed) == 52 * 52 - 48 * 48
 
     def test_cropped_memory_is_independent_of_operator_size(self):
@@ -102,7 +103,7 @@ class TestKstep:
         hess = build_hessian(conv_spectrum(b, make_log(1.0), 20, 20), 13, 13)
         tracemalloc.start()
         try:
-            kstep(b, img, hess, alpha=0.1)
+            kstep(Observation(b, (13, 13), False), img, hess, alpha=0.1)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -111,17 +112,31 @@ class TestKstep:
     def test_cropped_mode_identity_fit(self, case):
         # with a same-size observation equal to the latent, the impulse fits
         img, _, _, _, hess = case
-        k, _ = kstep(img, img, hess, alpha=0.0)
+        k, _ = kstep(Observation(img, (5, 5), False), img, hess, alpha=0.0)
         assert impulse_distance(k) < 1e-4
 
     def test_size_mismatch_rejected(self, case):
-        # B must be the full convolution of I or the central window of I's
-        # size; one row short of either is neither
+        # the observation's latent shape must be I's: a B one row short of
+        # the full convolution of I, or of I's size when cropped, is neither
         img, _, b, _, hess = case
         with pytest.raises(ValueError, match="inconsistent"):
-            kstep(b[:-1], img, hess, 0.0)
+            kstep(Observation(b[:-1], (5, 5), True), img, hess, 0.0)
         with pytest.raises(ValueError, match="inconsistent"):
-            kstep(img[:-1], img, hess, 0.0)
+            kstep(Observation(img[:-1], (5, 5), False), img, hess, 0.0)
+
+    def test_other_latent_or_kernel_shape_rejected(self, case):
+        # an image of another latent shape than the observation's, or a
+        # Hessian of another kernel size than it was made for
+        img, _, b, _, hess = case
+        for full, obs_b in ((True, b), (False, b[2:50, 2:50])):
+            obs = Observation(obs_b, (5, 5), full)
+            with pytest.raises(ValueError, match="inconsistent"):
+                kstep(obs, img[:, :-1], hess, 0.0)
+            with pytest.raises(ValueError, match="inconsistent"):
+                kstep(obs, np.pad(img, 1), hess, 0.0)
+        # a 3 x 3 kernel's latent has the 50 x 50 shape of np.pad(img, 1)
+        with pytest.raises(ValueError, match="inconsistent"):
+            kstep(Observation(b, (3, 3), True), np.pad(img, 1), hess, 0.0)
 
     def test_one_by_one_kernel_models_agree(self, case, monkeypatch):
         # with m = 1 x 1 the full convolution has I's size: both data models
@@ -132,8 +147,12 @@ class TestKstep:
         real = blind.solve_qp
         monkeypatch.setattr(blind, "solve_qp",
                             lambda p, **kw: problems.append(p) or real(p, **kw))
-        kstep(b, img, build_hessian(spec, 1, 1), alpha=0.0)
-        (p,) = problems
+        for full in (True, False):
+            kstep(Observation(b, (1, 1), full), img, build_hessian(spec, 1, 1),
+                  alpha=0.0)
+        p, p_cropped = problems
+        assert np.array_equal(p.q, p_cropped.q)
+        assert np.array_equal(p.c, p_cropped.c)
         assert np.isclose(p.q[0, 0], np.sum(img * img), rtol=1e-12)
         assert np.isclose(p.c[0], -2.0 * np.sum(img * b), rtol=1e-12)
 
@@ -178,7 +197,8 @@ class TestBlindDeblur:
         cfg = DeblurConfig(m1=5, m2=5, s1=8, s2=8, alpha=0.01, max_outer=10,
                            spectrum_method="gram")
         res = blind_deblur(b, cfg, spectrum=spec, hessian=hess)
-        obj = blind_objective(b, res.image, res.kernel, cfg.lam, cfg.alpha, hess)
+        obj = blind_objective(Observation(b, (5, 5), True), res.image,
+                              res.kernel, cfg.lam, cfg.alpha, hess)
         assert np.isclose(obj, res.trace[-1], rtol=1e-10)
 
     def test_iteration_cap_flags(self, case):
@@ -212,7 +232,8 @@ class TestBlindDeblur:
         assert res.converged is False
         assert res.iterations == len(res.trace) == 2
         assert res.trace[1] <= res.trace[0]
-        obj = blind_objective(b, res.image, res.kernel, cfg.lam, cfg.alpha, hess)
+        obj = blind_objective(Observation(b, (5, 5), True), res.image,
+                              res.kernel, cfg.lam, cfg.alpha, hess)
         assert np.isclose(obj, res.trace[-1], rtol=1e-10)
 
     def test_config_validation(self):
@@ -220,6 +241,19 @@ class TestBlindDeblur:
             DeblurConfig(m1=0, m2=5)
         with pytest.raises(ValueError):
             DeblurConfig(m1=5, m2=5, alpha=-1.0)
+        # NaN fails no comparison; it and inf are rejected where they are set
+        for bad in ({"alpha": np.nan}, {"alpha": np.inf}, {"lam": np.nan},
+                    {"lam": np.inf}):
+            with pytest.raises(ValueError, match="nonnegative and finite"):
+                DeblurConfig(m1=5, m2=5, **bad)
+        # with a Hessian given, a run reads neither the method nor the
+        # feature: they are checked here, not at a later sweep's spectrum
+        with pytest.raises(ValueError, match="unknown spectrum method"):
+            DeblurConfig(m1=5, m2=5, spectrum_method="bogus")
+        with pytest.raises(ValueError, match="unknown feature filter"):
+            DeblurConfig(m1=5, m2=5, feature="bogus")
+        with pytest.raises(ValueError, match="sigma"):
+            DeblurConfig(m1=5, m2=5, log_sigma=np.nan)
         with pytest.raises(ValueError, match="sampling sizes"):
             DeblurConfig(m1=5, m2=5, s1=0)
         with pytest.raises(ValueError, match="max_outer"):

@@ -279,6 +279,17 @@ def test_sweep_bad_alpha_is_a_validation_error(runner, blurry_pgm, tmp_path):
     assert "--alphas: 'abc' is not a number" in r.stderr
 
 
+@pytest.mark.parametrize("alpha", ["nan", "inf", "-inf"])
+def test_sweep_non_finite_alpha_is_a_validation_error(runner, blurry_pgm,
+                                                      tmp_path, alpha):
+    # a NaN alpha reached the QP's eigensolver after a full blind run
+    r = runner.invoke(main, ["sweep", blurry_pgm, "--kernel-size", "5",
+                             "--alphas", f"0.1,{alpha}", "-o", str(tmp_path)])
+    assert r.exit_code == 2, r.output
+    assert f"--alphas: '{alpha}' is not finite" in r.stderr
+    assert not (tmp_path / "sweep.csv").exists()
+
+
 
 @pytest.mark.parametrize("command", [
     ["estimate-kernel"],
@@ -345,12 +356,20 @@ def test_sweep_alphas_from_config(runner, blurry_pgm, tmp_path):
     (["deblur", "--kernel-size", "5", "--alpha", "0.01", "--max-iters", "0"],
      "max_outer must be >= 1"),
     (["deconv", "K", "--tol", "-1"], "tol must be nonnegative"),
-], ids=["deblur-max-iters-0", "deconv-negative-tol"])
+    (["deconv", "K", "--tol", "nan"], "tol must be nonnegative and finite"),
+    (["deconv", "K", "--lambda", "nan"], "lam must be nonnegative and finite"),
+    (["deblur", "--kernel-size", "5", "--alpha", "nan"],
+     "alpha and lam must be nonnegative and finite"),
+    (["deblur", "--kernel-size", "5", "--alpha", "0.1", "--lambda", "inf"],
+     "alpha and lam must be nonnegative and finite"),
+], ids=["deblur-max-iters-0", "deconv-negative-tol", "deconv-nan-tol",
+        "deconv-nan-lambda", "deblur-nan-alpha", "deblur-inf-lambda"])
 def test_values_that_do_nothing_are_validation_errors(runner, blurry_pgm,
                                                       tmp_path, command,
                                                       message):
     # zero outer iterations and a negative tolerance would run and report
-    # non-convergence (exit 3) rather than reject the value
+    # non-convergence (exit 3) rather than reject the value; a NaN or
+    # infinite weight or tolerance is rejected where it is set
     kpath = tmp_path / "k.txt"
     save_kernel_txt(kpath, make_kernel("gaussian", 5, {"sigma": 1.0}))
     args = [str(kpath) if a == "K" else a for a in command[1:]]
@@ -364,7 +383,10 @@ def test_values_that_do_nothing_are_validation_errors(runner, blurry_pgm,
     ("sigma", "--kernel-param 'sigma' is not key=value"),
     ("length=7.9", "length must be an integer"),
     ("sigma=abc", "--kernel-param 'sigma=abc': 'abc' is not a number"),
-], ids=["no-equals", "fractional-length", "not-a-number"])
+    ("angle=inf", "--kernel-param 'angle=inf': 'inf' is not finite"),
+    ("length=nan", "--kernel-param 'length=nan': 'nan' is not finite"),
+], ids=["no-equals", "fractional-length", "not-a-number", "infinite",
+        "nan"])
 def test_bad_kernel_param_is_a_validation_error(runner, tmp_path, param,
                                                 message):
     r = runner.invoke(main, ["synth", "--size", "16", "--kernel-size", "9",

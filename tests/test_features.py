@@ -64,6 +64,9 @@ class TestLog:
     def test_bad_sigma(self):
         with pytest.raises(ValueError):
             make_log(0.0)
+        for sigma in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="positive and finite"):
+                make_log(sigma)
 
     def test_unknown_names(self):
         with pytest.raises(ValueError):

@@ -13,7 +13,7 @@ from convdeblur.simplex_qp import (QpProblem, kkt_residual, project_simplex,
                                    solve_qp)
 from convdeblur.spectral import conv_spectrum
 from convdeblur.synth import make_kernel, make_test_image, synth_blur
-from convdeblur.tensorops import central_window, conv2d_full
+from convdeblur.tensorops import Observation, central_window, conv2d_full
 
 
 def random_problem(rng, d):
@@ -199,7 +199,7 @@ class TestSingularQ:
         rng = np.random.default_rng(13)
         img, b = rng.uniform(size=(3, 3)), rng.uniform(size=(3, 3))
         hess = types.SimpleNamespace(m1=5, m2=5, matrix=np.eye(25))
-        k, sol = kstep(b, img, hess, alpha=0.0)
+        k, sol = kstep(Observation(b, (5, 5), False), img, hess, alpha=0.0)
         assert sol.converged and sol.kkt_residual <= 1e-12
 
         def misfit(kernel):

@@ -40,6 +40,15 @@ class TestMakeKernel:
         with pytest.raises(ValueError):
             make_kernel("gaussian", 0)
 
+    @pytest.mark.parametrize("family, key", [("gaussian", "sigma"),
+                                             ("motion-line", "angle")])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_params_rejected(self, family, key, bad):
+        # a NaN sigma gave an all-NaN kernel, an infinite angle a NaN
+        # position that failed to convert to a pixel index
+        with pytest.raises(ValueError, match=f"{key} must be .*finite"):
+            make_kernel(family, 5, {key: bad})
+
     @pytest.mark.parametrize("family, key", [("motion-line", "length"),
                                              ("random-sparse", "count"),
                                              ("curve", "steps")])
@@ -89,6 +98,11 @@ class TestSynthBlur:
     def test_negative_eps_rejected(self):
         with pytest.raises(ValueError):
             synth_blur(np.ones((4, 4)), np.ones((1, 1)), eps=-1.0)
+
+    @pytest.mark.parametrize("eps", [np.nan, np.inf])
+    def test_non_finite_eps_rejected(self, eps):
+        with pytest.raises(ValueError, match="eps must be nonnegative and"):
+            synth_blur(np.ones((4, 4)), np.ones((1, 1)), eps=eps)
 
 
 class TestAlignment:

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 from scipy import fft as sfft
 
-from convdeblur.tensorops import (as_image, central_window, conv2d_full,
-                                  devectorize, fast_len, irfft2, latent_grid,
+from convdeblur.tensorops import (Observation, as_image, central_window,
+                                  conv2d_full, devectorize, fast_len, irfft2,
                                   rfft2, toeplitz, toeplitz_apply_adjoint,
                                   toeplitz_gram, toeplitz_row_blocks,
                                   validate_kernel, vectorize)
@@ -80,10 +80,60 @@ class TestConv2d:
             conv2d_full(np.zeros((0, 2)), np.ones((1, 1)))
 
 
-class TestLatentGrid:
+class TestObservation:
     def test_full_and_cropped_models(self):
-        assert latent_grid((12, 10), (5, 3), True) == ((8, 8), (12, 10))
-        assert latent_grid((12, 10), (5, 3), False) == ((12, 10), (16, 12))
+        full = Observation(np.ones((12, 10)), (5, 3), True)
+        cropped = Observation(np.ones((12, 10)), (5, 3), False)
+        assert (full.shape, full.grid) == ((8, 8), (12, 10))
+        assert (cropped.shape, cropped.grid) == ((12, 10), (16, 12))
+
+    @pytest.mark.parametrize("full", [True, False], ids=["full", "cropped"])
+    def test_frame_and_embedding(self, full):
+        # the frame is the grid less B's window, and the embedding is B on
+        # the window and 0 on the frame; B has no zero, so neither can pass
+        # by accident
+        b = 1.0 + np.random.default_rng(8).random((12, 10))
+        obs = Observation(b, (5, 3), full)
+        assert obs.frame.shape == obs.embedded.shape == obs.grid
+        assert obs.frame.sum() == obs.grid[0] * obs.grid[1] - b.size
+        assert obs.frame.sum() == (0 if full else 16 * 12 - 12 * 10)
+        assert not obs.frame[obs.window].any()
+        assert np.array_equal(obs.embedded[obs.window], b)
+        assert np.array_equal(obs.embedded != 0, ~obs.frame)
+
+    def test_one_by_one_kernel_models_agree(self):
+        b = np.random.default_rng(9).random((7, 5))
+        full, cropped = (Observation(b, (1, 1), f) for f in (True, False))
+        assert full.shape == cropped.shape == full.grid == cropped.grid \
+            == (7, 5)
+        assert full.window == cropped.window
+        assert not full.frame.any() and not cropped.frame.any()
+        assert np.array_equal(full.embedded, cropped.embedded)
+        assert np.array_equal(full.embedded, b)
+
+    def test_even_kernel_frame_is_asymmetric(self):
+        # a 4 x 4 kernel widens the grid by 3: the central window leaves one
+        # row and column of frame before it and two after it
+        obs = Observation(np.ones((6, 7)), (4, 4), False)
+        assert obs.grid == (9, 10)
+        assert obs.window == (slice(1, 7), slice(1, 8))
+        rows = obs.frame.all(axis=1)
+        cols = obs.frame.all(axis=0)
+        assert rows.tolist() == [True] + [False] * 6 + [True] * 2
+        assert cols.tolist() == [True] + [False] * 7 + [True] * 2
+        assert not Observation(np.ones((9, 10)), (4, 4), True).frame.any()
+
+    def test_b_smaller_than_kernel(self):
+        # full data needs B at least the kernel's size; a cropped B of any
+        # size is a window of a larger grid
+        with pytest.raises(ValueError, match="smaller than the kernel"):
+            Observation(np.ones((3, 3)), (5, 5), True)
+        with pytest.raises(ValueError, match="smaller than the kernel"):
+            Observation(np.ones((6, 3)), (5, 4), True)
+        assert Observation(np.ones((3, 3)), (5, 5), False).grid == (7, 7)
+        for full in (True, False):
+            with pytest.raises(ValueError, match="kernel size < 1"):
+                Observation(np.ones((3, 3)), (0, 1), full)
 
 
 class TestVectorize:

@@ -127,6 +127,12 @@ class TestHelpers:
             TvSolverConfig(max_inner=0)
         with pytest.raises(ValueError, match="tol"):
             TvSolverConfig(tol=-1.0)
+        # NaN fails no comparison; it and inf are rejected where they are set
+        for key in ("lam", "tol"):
+            for bad in (np.nan, np.inf):
+                with pytest.raises(ValueError,
+                                   match=f"{key} must be nonnegative and fin"):
+                    TvSolverConfig(**{key: bad})
         # tol = 0 runs every iteration, as blind_deblur's image steps do
         TvSolverConfig(tol=0.0)
 
