@@ -16,8 +16,8 @@ from .features import get_filter
 from .regularizer import build_hessian, h_value
 from .simplex_qp import QpProblem, solve_qp
 from .spectral import conv_spectrum
-from .tensorops import (Observation, _fft_conv_full, as_image, central_window,
-                        devectorize, toeplitz_apply_adjoint, toeplitz_gram,
+from .tensorops import (Observation, _fft_conv_full, as_image, devectorize,
+                        toeplitz_apply_adjoint, toeplitz_gram,
                         toeplitz_row_blocks, vectorize)
 # Not used here: the traced benchmark run (perfbench/tracing.py) wraps these
 # names and requires them to exist.
@@ -94,7 +94,7 @@ class DeblurResult:
     converged: bool
 
 
-def kstep(obs, img, hess, alpha, tol=1e-8, x0=None):
+def kstep(obs, img, hess, alpha, x0=None):
     """Kernel update: min ||vec(B) - W A(I) vec(K)||^2 + alpha vec(K)' H vec(K)
     over the simplex, B and its window W given by the Observation obs, whose
     latent and kernel shapes img and hess must have.
@@ -103,14 +103,13 @@ def kstep(obs, img, hess, alpha, tol=1e-8, x0=None):
     frame (summed over blocks: a perimeter's worth, none for full data); c
     is the FFT adjoint of obs's zero-embedded B."""
     img, (m1, m2) = as_image(img), obs.k_shape
-    if img.shape != obs.shape or (hess.m1, hess.m2) != obs.k_shape:
-        raise ValueError("blurry/latent/kernel sizes are inconsistent")
+    obs.check(img.shape, (hess.m1, hess.m2))
     q = toeplitz_gram(img, m1, m2)
     for blk in toeplitz_row_blocks(img, m1, m2, obs.frame):
         q -= blk.T @ blk
     c = -2.0 * toeplitz_apply_adjoint(img, obs.embedded, m1, m2)
     q = 0.5 * (q + q.T) + alpha * hess.matrix
-    sol = solve_qp(QpProblem(q, c), tol=tol, x0=x0)
+    sol = solve_qp(QpProblem(q, c), x0=x0)
     return devectorize(sol.point, m1, m2), sol
 
 
@@ -124,6 +123,7 @@ def estimate_kernel(spec, m1, m2):
 
 def blind_objective(obs, img, k, lam, alpha, hess):
     """The objective at (img, k), B matched to its window of img (x) k."""
+    obs.check(img.shape, k.shape)
     resid = obs.b - _fft_conv_full(img, k)[obs.window]
     return float(np.sum(resid * resid)) + lam * total_variation(img) \
         + alpha * h_value(hess, k)
@@ -156,7 +156,7 @@ def blind_deblur(b, cfg, spectrum=None, hessian=None):
     can only stop as converged once the weight is lam.
     """
     obs = Observation(b, (cfg.m1, cfg.m2), cfg.assume_full)
-    img = obs.b[central_window(obs.b.shape, obs.shape)].copy()
+    img = obs.start
     hess = _hessian(obs.b, cfg, spectrum, hessian)
     k = np.full((cfg.m1, cfg.m2), 1.0 / (cfg.m1 * cfg.m2))
     trace = []
@@ -171,7 +171,7 @@ def blind_deblur(b, cfg, spectrum=None, hessian=None):
             lam_factor = max(1.0, LAM_START * LAM_DECAY ** (it - 1))
         tv_cfg = TvSolverConfig(lam=cfg.lam * lam_factor,
                                 max_inner=IMAGE_STEP_ITERS, tol=0.0)
-        # the first call starts from the central window that img holds
+        # the first call starts from obs.start, as img does
         res = tv_deconv(obs.b, k_new, tv_cfg, assume_full=cfg.assume_full,
                         state=state)
         img_new = res.image

@@ -86,23 +86,17 @@ CROPPED = click.option("--cropped", is_flag=True,
                             "full-convolution output")
 
 
-def kernel_options(sample_help=None):
-    return (click.option("--kernel-size", type=int, required=True),
-            click.option("--sample-size", type=int, default=None,
-                         help=sample_help))
-
-
-def scene_options(image_help=None):
-    """The synthetic scene: a test image, blurred by a kernel of the given
-    size, with a seed for both."""
-    return (click.option("--image", "image_kind", default="polygons",
-                         help=image_help),
-            click.option("--size", type=int, default=128),
-            click.option("--kernel-size", type=int, default=9),
-            click.option("--seed", type=int, default=0))
-
-
-DEBLUR = (*kernel_options(), LAMBDA,
+KERNEL = (click.option("--kernel-size", type=int, required=True),
+          click.option("--sample-size", type=int, default=None,
+                       help="default: ceil(1.5 * kernel size)"))
+# A synthetic scene: a test image, the size of its kernel, the seed of both
+SCENE = (click.option("--image", "image_kind", default="polygons",
+                      help="procedural kind (step|bars|checker|polygons) "
+                           "or a file path"),
+         click.option("--size", type=int, default=128),
+         click.option("--kernel-size", type=int, default=9),
+         click.option("--seed", type=int, default=0))
+DEBLUR = (*KERNEL, LAMBDA,
           click.option("--max-iters", type=int, default=150),
           *FEATURE, METHOD, CROPPED)
 
@@ -175,10 +169,15 @@ def save_peak_normalized(path, img):
     imgio.save_image(path, img / peak if peak > 1 else img)
 
 
-def exit_unless_converged(converged, warning=None):
+def warn_unless_converged(what, sol):
+    """One warning line on stderr if the solver result sol did not converge."""
+    if not sol.converged:
+        click.echo(f"warning: {what} stopped unconverged after "
+                   f"{sol.iterations} iterations", err=True)
+
+
+def exit_unless_converged(converged):
     if not converged:
-        if warning:
-            click.echo(warning, err=True)
         sys.exit(EXIT_NO_CONVERGENCE)
 
 
@@ -219,8 +218,7 @@ def spectrum(image, feature, log_sigma, sample_size, method,
 
 
 @subcommand(main, "estimate-kernel", IMAGE,
-            *kernel_options("default: ceil(1.5 * kernel size)"), *FEATURE,
-            METHOD)
+            *KERNEL, *FEATURE, METHOD)
 def estimate_kernel_cmd(image, kernel_size, sample_size, feature, log_sigma,
                         method, out):
     """Estimate the blur kernel from IMAGE alone (no latent image).
@@ -235,7 +233,8 @@ def estimate_kernel_cmd(image, kernel_size, sample_size, feature, log_sigma,
     imgio.save_kernel_image(os.path.join(out, "kernel.pgm"), k)
     click.echo(f"objective={sol.objective:.6g} kkt={sol.kkt_residual:.3g} "
                f"iterations={sol.iterations}")
-    exit_unless_converged(sol.converged, "warning: QP did not converge")
+    warn_unless_converged("the kernel QP", sol)
+    exit_unless_converged(sol.converged)
 
 
 @subcommand(main, "deconv", IMAGE,
@@ -266,9 +265,7 @@ def deblur_cmd(image, out, **options):
     exit_unless_converged(res.converged)
 
 
-@subcommand(main, "synth",
-            *scene_options("procedural kind (step|bars|checker|polygons) "
-                           "or a file path"),
+@subcommand(main, "synth", *SCENE,
             click.option("--kernel-family",
                          type=click.Choice(list(synth.KERNEL_FAMILIES)),
                          default="gaussian"),
@@ -321,8 +318,9 @@ def eval_cmd(case_dir, kernel_size, feature, log_sigma, method, lam, out):
     s = blind.sample_size(m)
     spec_b = spectrum_of(b, s, feature, log_sigma, method)
     spec_i = spectrum_of(sharp, s, feature, log_sigma, method)
-    k_est, _, _ = blind.estimate_kernel(spec_b, m, m)
-    restored = tv_deconv(b, k_est, TvSolverConfig(lam=lam)).image
+    k_est, _, qp = blind.estimate_kernel(spec_b, m, m)
+    res = tv_deconv(b, k_est, TvSolverConfig(lam=lam))
+    restored = res.image
     # an estimation size other than the true one restores an image of
     # another size: score all three on their common central window
     common = np.minimum(restored.shape, sharp.shape)
@@ -330,7 +328,7 @@ def eval_cmd(case_dir, kernel_size, feature, log_sigma, method, lam, out):
     def window(x):
         return x[central_window(x.shape, common)]
 
-    report = metrics.MetricsReport(
+    report = dict(
         kernel_error=synth.kernel_error(k_est, k_true),
         noiseless_bound=metrics.noiseless_error_bound(
             spec_b.sigma_max, spec_i.sigma_min),
@@ -342,12 +340,14 @@ def eval_cmd(case_dir, kernel_size, feature, log_sigma, method, lam, out):
         runtime_seconds=time.perf_counter() - t0,
     )
     write_csv(os.path.join(out, "metrics.csv"), ["metric", "value"],
-              report.rows())
+              report.items())
     imgio.save_kernel_txt(os.path.join(out, "kernel_estimated.txt"), k_est)
     imgio.save_image(os.path.join(out, "restored.pgm"), restored)
-    for name, value in report.rows():
+    for name, value in report.items():
         click.echo(f"{name}={value:.6g}")
-    if report.psnr_restored < report.psnr_blurry:
+    warn_unless_converged("the kernel QP", qp)
+    warn_unless_converged("the image step", res)
+    if report["psnr_restored"] < report["psnr_blurry"]:
         click.echo("warning: the restored image is further from the sharp "
                    "image than the blurry input is; the estimated kernel "
                    "does not explain the blur", err=True)
@@ -375,7 +375,7 @@ def repro():
     """Reproduce the desk-scale spectrum and kernel-estimation studies."""
 
 
-@subcommand(repro, "fig2", *scene_options(),
+@subcommand(repro, "fig2", *SCENE,
             click.option("--kernel-sigma", type=float, default=2.0,
                          help="Gaussian blur kernel width"),
             click.option("--sample-size", type=int, default=18), METHOD)
@@ -405,7 +405,7 @@ def repro_fig2(image_kind, size, kernel_size, seed, kernel_sigma, sample_size,
     click.echo(f"ratio delta={ratios['delta']:.4g} log={ratios['log']:.4g}")
 
 
-@subcommand(repro, "fig3", *scene_options(), METHOD)
+@subcommand(repro, "fig3", *SCENE, METHOD)
 def repro_fig3(image_kind, size, kernel_size, seed, method, out):
     """Estimate six 9x9 kernels from blurred images alone; tabulate errors
     against the noiseless recovery bound."""
@@ -426,7 +426,8 @@ def repro_fig3(image_kind, size, kernel_size, seed, method, out):
         k_true = synth.make_kernel(family, m, params, seed=seed + idx)
         b, _ = synth.synth_blur(sharp, k_true)
         spec_b = spectrum_of(b, s, method=method)
-        k_est, _, _ = blind.estimate_kernel(spec_b, m, m)
+        k_est, _, qp = blind.estimate_kernel(spec_b, m, m)
+        warn_unless_converged(f"case {idx + 1}'s kernel QP", qp)
         err = synth.kernel_error(k_est, k_true)
         bound = metrics.noiseless_error_bound(spec_b.sigma_max,
                                               spec_i.sigma_min)

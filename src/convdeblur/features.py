@@ -1,6 +1,6 @@
 """Feature filters applied before spectral analysis: raw pixels or LoG edges."""
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -12,7 +12,6 @@ class FeatureFilter:
     """A small convolution filter; kind 'delta' is the 1x1 impulse."""
     kind: str
     taps: np.ndarray
-    sigma: float = 0.0
 
     def __post_init__(self):
         if self.kind not in ("delta", "log"):
@@ -37,7 +36,7 @@ def make_log(sigma=1.0):
     r2 = (x * x + y * y) / (2.0 * sigma ** 2)
     taps = -(1.0 / (np.pi * sigma ** 4)) * (1.0 - r2) * np.exp(-r2)
     taps -= taps.mean()
-    return FeatureFilter("log", taps, sigma)
+    return FeatureFilter("log", taps)
 
 
 def get_filter(name, sigma=1.0):

@@ -1,7 +1,6 @@
 """Quality metrics and the recovery-error bound formulas."""
 
 import math
-from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -34,18 +33,3 @@ def noisy_error_bound(sigma_max_b, sigma_min_b, sigma_min_i0, s1, s2, eps):
         raise ValueError("spectra must be positive")
     ccond = sigma_max_b / sigma_min_b
     return math.sqrt(2.0) * (sigma_max_b + ccond * math.sqrt(s1 * s2) * eps) / sigma_min_i0
-
-
-@dataclass(frozen=True)
-class MetricsReport:
-    kernel_error: float          # shift-aligned Frobenius error
-    noiseless_bound: float
-    noisy_bound: float           # equals noiseless_bound when eps == 0
-    psnr_blurry: float
-    psnr_restored: float
-    sigma_ratio: float           # sigma_max(B) / sigma_min(I0)
-    runtime_seconds: float
-
-    def rows(self):
-        """(name, value) pairs in field order."""
-        return [(f.name, getattr(self, f.name)) for f in fields(self)]

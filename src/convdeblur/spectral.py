@@ -1,4 +1,4 @@
-"""Convolution eigenvalues/eigenvectors of an image, sharpness, condition number.
+"""Convolution eigenvalues/eigenvectors of an image.
 
 The convolution eigenvalues of an image under a feature filter are the
 singular values of the Toeplitz operator of the filtered image acting on
@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .features import DELTA, apply_filter
+from .features import apply_filter
 from .tensorops import BLOCK_ROWS, as_image, toeplitz_gram, toeplitz_row_blocks
 # Not used here: the traced benchmark run (perfbench/tracing.py) wraps this
 # name and requires it to exist.
@@ -38,6 +38,7 @@ class ConvSpectrum:
 
     @property
     def sigma_min(self):
+        """Sharpness: large values mean a sharp image."""
         return float(self.sigmas[-1])
 
 
@@ -100,7 +101,7 @@ def _fix_signs(vecs):
     return vecs * signs[:, None]
 
 
-def conv_spectrum(img, f=DELTA, s1=None, s2=None, method="gram"):
+def conv_spectrum(img, f, s1, s2, method="gram"):
     """All s1*s2 convolution eigenvalue/eigenvector pairs of an image.
 
     method='gram' diagonalizes the Gram matrix, formed by one FFT
@@ -114,8 +115,6 @@ def conv_spectrum(img, f=DELTA, s1=None, s2=None, method="gram"):
     separated.
     """
     img = as_image(img)
-    if s1 is None or s2 is None:
-        raise ValueError("sampling sizes s1, s2 are required")
     if s1 < 1 or s2 < 1:
         raise ValueError("sampling sizes must be >= 1")
     if not np.any(img):
@@ -141,14 +140,3 @@ def conv_spectrum(img, f=DELTA, s1=None, s2=None, method="gram"):
         raise ValueError(f"unknown method {method!r}")
     vecs = _fix_signs(vecs)
     return ConvSpectrum(s1, s2, sig, vecs.reshape(s1 * s2, s1, s2))
-
-
-def sharpness(img, f=DELTA, s1=None, s2=None, method="gram"):
-    """Smallest convolution eigenvalue; large values mean a sharp image."""
-    return conv_spectrum(img, f, s1, s2, method).sigma_min
-
-
-def conv_condition(img, f=DELTA, s1=None, s2=None, method="gram"):
-    """sigma_max / sigma_min of the image's convolution spectrum (>= 1)."""
-    spec = conv_spectrum(img, f, s1, s2, method)
-    return spec.sigma_max / spec.sigma_min

@@ -54,8 +54,8 @@ def central_window(full_shape, out_shape):
 class Observation:
     """B on the full-convolution grid of a latent image blurred by a k_shape
     kernel: the whole grid (full=True) or its central latent-size window.
-    Holds B, k_shape, the latent and grid shapes, B's window slices on the
-    grid, the frame mask of the grid outside them, and B zero-embedded."""
+    Holds B, k_shape, the latent and grid shapes, B's window on the grid,
+    the frame mask outside it, B zero-embedded, and the latent start."""
 
     def __init__(self, b, k_shape, full):
         self.b, self.k_shape = as_image(b), tuple(k_shape)
@@ -71,6 +71,12 @@ class Observation:
         self.frame[self.window] = False
         self.embedded = np.zeros(self.grid)
         self.embedded[self.window] = self.b
+        self.start = self.b[central_window(n, self.shape)]   # latent size
+
+    def check(self, img_shape, k_shape):
+        """ValueError unless img_shape and k_shape are the latent's and K's."""
+        if img_shape != self.shape or k_shape != self.k_shape:
+            raise ValueError("blurry/latent/kernel sizes are inconsistent")
 
 
 def conv2d_full(x, y):

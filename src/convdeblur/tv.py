@@ -27,8 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensorops import (Observation, as_image, central_window, irfft2, rfft2,
-                        validate_kernel)
+from .tensorops import Observation, as_image, irfft2, rfft2, validate_kernel
 
 # ADMM penalty of the y = pad(I) and g = grad(I) splits
 ADMM_PENALTY = 0.1
@@ -128,8 +127,7 @@ def tv_deconv(b, k, cfg=None, assume_full=True, state=None):
     primal residual both fall below cfg.tol (tol = 0 runs all cfg.max_inner
     iterations). The result carries the solver's split and dual variables;
     passing them back as `state` resumes the iteration where it stopped.
-    Without a state the iteration starts from b's central window at the
-    latent size.
+    Without a state it starts from Observation.start, b's central window.
 
     With lam = 0 and full-convolution data the inverse filter is returned
     directly. It minimizes the data term only for noise-free data; with
@@ -172,9 +170,8 @@ def tv_deconv(b, k, cfg=None, assume_full=True, state=None):
         (2.0 - 2.0 * np.cos(2.0 * np.pi * np.arange(n1) / n1))[:, None]
         + (2.0 - 2.0 * np.cos(2.0 * np.pi * np.arange(n2 // 2 + 1) / n2))))
     if state is None:
-        img = b[central_window(b.shape, shape)]
-        fy = rfft2(img, grid)   # of pad(img): rfft2 zero-pads to the grid
-        state = AdmmState(fy, fk * fy, _grad(img), np.zeros_like(fy),
+        fy = rfft2(obs.start, grid)   # rfft2 zero-pads it to the grid
+        state = AdmmState(fy, fk * fy, _grad(obs.start), np.zeros_like(fy),
                           np.zeros_like(fy), np.zeros((2, n1, n2)), grid)
     elif state.grid != grid or state.grad.shape != (2, n1, n2):
         raise ValueError("solver state does not match the problem size")

@@ -31,8 +31,7 @@ class TestKstep:
     def test_recovers_kernel_given_sharp_image(self, case):
         # alpha=0 with the true latent image: the data term alone pins K
         img, k0, b, _, hess = case
-        k, sol = kstep(Observation(b, (5, 5), True), img, hess, alpha=0.0,
-                       tol=1e-10)
+        k, sol = kstep(Observation(b, (5, 5), True), img, hess, alpha=0.0)
         assert sol.converged
         assert np.linalg.norm(k - k0) < 1e-5
 
@@ -201,6 +200,20 @@ class TestBlindDeblur:
                               res.kernel, cfg.lam, cfg.alpha, hess)
         assert np.isclose(obj, res.trace[-1], rtol=1e-10)
 
+    def test_objective_rejects_what_does_not_fit(self, case):
+        # the true image and kernel fit B; an image padded by one pixel, or
+        # a kernel of another size than the observation's, does not, and
+        # used to give a finite objective (8.05 for either case here)
+        img, k0, b, _, hess = case
+        obs = Observation(b, (5, 5), True)
+        assert blind_objective(obs, img, k0, 0.0, 0.0, hess) < 1e-20
+        with pytest.raises(ValueError, match="inconsistent"):
+            blind_objective(obs, np.pad(img, 1), k0, 0.0, 0.0, hess)
+        # np.pad(img, 1) is the latent of a 3 x 3 kernel's observation
+        obs3 = Observation(b, (3, 3), True)
+        with pytest.raises(ValueError, match="inconsistent"):
+            blind_objective(obs3, np.pad(img, 1), k0, 0.0, 0.0, hess)
+
     def test_iteration_cap_flags(self, case):
         _, _, b, spec, hess = case
         cfg = DeblurConfig(m1=5, m2=5, s1=8, s2=8, alpha=0.01, max_outer=2,
@@ -332,10 +345,13 @@ TURNS = {"transpose": (lambda a: a.T, lambda m1, m2: (m2, m1)),
 
 
 class TestEquivariance:
-    """Turning B turns the kernel and the image the same way. The gates sit
-    at about 100x the largest rounding-level deviation measured (7.2e-13 for
-    estimate_kernel, 1.3e-10 for blind_deblur); a transform that mixes up
-    its axes misses them by orders of magnitude."""
+    """Turning B turns the kernel and the image the same way, to rounding.
+    Largest deviations measured, and the gates: estimate_kernel 7.3e-13,
+    gate 1e-10; blind_deblur on full data 1.1e-12 for the kernel and
+    4.4e-11 for the image, gates 5e-9 and 1e-8; on cropped data 6.2e-13
+    and 2.2e-11, gate 2e-9 for both. An earlier measurement of the first
+    three, 2.0e-12, 6.5e-11 and 1.2e-9, passes too. A transform that mixes
+    up its axes misses the gates by orders of magnitude."""
 
     @pytest.fixture(scope="class")
     def scene(self):
@@ -358,9 +374,11 @@ class TestEquivariance:
         assert np.abs(self.estimate(3.7 * fn(b), *shape(7, 5))
                       - fn(k)).max() < 1e-10
 
-    @pytest.mark.parametrize("assume_full", [True, False],
+    # (kernel, image) gates per data model
+    @pytest.mark.parametrize("assume_full, gates",
+                             [(True, (5e-9, 1e-8)), (False, (2e-9, 2e-9))],
                              ids=["full", "cropped"])
-    def test_blind_deblur(self, scene, assume_full):
+    def test_blind_deblur(self, scene, assume_full, gates):
         img, k0 = scene
         b = conv2d_full(img, k0)
         if not assume_full:
@@ -373,5 +391,5 @@ class TestEquivariance:
         res = run(b, 7, 5)
         for fn, shape in TURNS.values():
             turned = run(fn(b), *shape(7, 5))
-            assert np.abs(turned.kernel - fn(res.kernel)).max() < 1e-8
-            assert np.abs(turned.image - fn(res.image)).max() < 1e-8
+            assert np.abs(turned.kernel - fn(res.kernel)).max() < gates[0]
+            assert np.abs(turned.image - fn(res.image)).max() < gates[1]

@@ -1,13 +1,18 @@
+import dataclasses
 import os
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from convdeblur import blind
 from convdeblur.cli import main
 from convdeblur.imgio import (load_image, load_kernel_txt, save_image,
                               save_kernel_txt)
 from convdeblur.synth import make_kernel, make_test_image, synth_blur
+
+IMAGE_STEP_UNCONVERGED = ("warning: the image step stopped unconverged "
+                          "after 100 iterations")
 
 
 @pytest.fixture
@@ -99,9 +104,11 @@ def test_synth_and_eval_commands(runner, tmp_path):
     out = tmp_path / "eval"
     r = runner.invoke(main, ["eval", "--case", str(case), "-o", str(out)])
     assert r.exit_code == 0, r.output
-    text = (out / "metrics.csv").read_text()
-    assert text.startswith("metric,value")
-    assert "kernel_error" in text and "noiseless_bound" in text
+    lines = (out / "metrics.csv").read_text().splitlines()
+    assert [line.split(",")[0] for line in lines] == [
+        "metric", "kernel_error", "noiseless_bound", "noisy_bound",
+        "psnr_blurry", "psnr_restored", "sigma_ratio", "runtime_seconds"]
+    assert lines[0] == "metric,value"
 
 
 def test_deblur_cropped_command(runner, blurry_pgm, tmp_path):
@@ -125,10 +132,46 @@ def test_eval_prints_the_gram_warning_on_one_line(runner, tmp_path, method,
     r = runner.invoke(main, ["eval", "--case", str(case), "--method", method,
                              "-o", str(tmp_path / "eval")])
     assert r.exit_code == 0, r.output
-    lines = r.stderr.splitlines()
+    *lines, last = r.stderr.splitlines()
     assert len(lines) == n_lines
     assert all(l.startswith("warning: sigma_min / sigma_max = 3.5e-08 is "
                             "below 1e-07") for l in lines)
+    # the image step's 100 ADMM iterations stop short of its tolerance
+    assert last == IMAGE_STEP_UNCONVERGED
+
+
+def test_eval_warns_for_each_unconverged_solver(runner, tmp_path,
+                                                monkeypatch):
+    # one warning line per solver that stops unconverged: the image step
+    # on this case, and the kernel QP when it reports so; neither changes
+    # the outputs or the exit code
+    case = tmp_path / "case"
+    r = runner.invoke(main, ["synth", "--size", "48", "--kernel-size", "5",
+                             "-o", str(case)])
+    assert r.exit_code == 0, r.output
+    r = runner.invoke(main, ["eval", "--case", str(case), "-o",
+                             str(tmp_path / "a")])
+    assert r.exit_code == 0, r.output
+    assert r.stderr.splitlines() == [IMAGE_STEP_UNCONVERGED]
+    real = blind.solve_qp
+    monkeypatch.setattr(blind, "solve_qp", lambda *args, **kwargs:
+                        dataclasses.replace(real(*args, **kwargs),
+                                            converged=False))
+    r = runner.invoke(main, ["eval", "--case", str(case), "-o",
+                             str(tmp_path / "b")])
+    assert r.exit_code == 0, r.output
+    assert r.stderr.splitlines() == [
+        "warning: the kernel QP stopped unconverged after 0 iterations",
+        IMAGE_STEP_UNCONVERGED]
+    for name in ("kernel_estimated.txt", "restored.pgm"):
+        assert (tmp_path / "a" / name).read_bytes() \
+            == (tmp_path / "b" / name).read_bytes()
+    r = runner.invoke(main, ["repro", "fig3", "--size", "48",
+                             "--kernel-size", "5", "-o", str(tmp_path / "f")])
+    assert r.exit_code == 0, r.output
+    assert r.stderr.splitlines() == [
+        f"warning: case {i}'s kernel QP stopped unconverged after "
+        "0 iterations" for i in range(1, 7)]
 
 
 def test_eval_warns_when_restoration_is_worse_than_blurry(runner, tmp_path):
@@ -207,6 +250,7 @@ def test_repro_fig3(runner, tmp_path):
     r = runner.invoke(main, ["repro", "fig3", "--size", "48",
                              "--kernel-size", "5", "-o", str(out)])
     assert r.exit_code == 0, r.output
+    assert r.stderr == ""   # every kernel QP converged
     lines = (out / "fig3_errors.csv").read_text().splitlines()
     assert lines[0] == "case,family,kernel_error,noiseless_bound"
     assert len(lines) == 7

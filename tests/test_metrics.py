@@ -3,8 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from convdeblur.metrics import (MetricsReport, noiseless_error_bound,
-                                noisy_error_bound, psnr)
+from convdeblur.metrics import noiseless_error_bound, noisy_error_bound, psnr
 
 
 class TestPsnr:
@@ -46,11 +45,3 @@ class TestBounds:
             noiseless_error_bound(1.0, 0.0)
         with pytest.raises(ValueError):
             noisy_error_bound(1.0, 0.0, 1.0, 2, 2, 0.1)
-
-
-def test_report_rows_complete():
-    rep = MetricsReport(0.1, 1.0, 1.5, 20.0, 25.0, 3.0, 1.2)
-    rows = dict(rep.rows())
-    assert rows["kernel_error"] == 0.1
-    assert rows["psnr_restored"] == 25.0
-    assert len(rows) == 7

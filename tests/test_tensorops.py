@@ -318,12 +318,16 @@ class TestValidation:
 
 def test_import_leaves_scipy_signal_out():
     # the package and its CLI load no scipy module: scipy.signal and then
-    # scipy.fft cost most of the import
+    # scipy.fft cost most of the import; the package alone, without its
+    # CLI, loads no click module either
     import convdeblur
     src = os.path.dirname(os.path.dirname(convdeblur.__file__))
     env = dict(os.environ, PYTHONPATH=src)
-    code = ("import sys, convdeblur, convdeblur.cli; "
-            "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])")
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True).stdout
-    assert out.strip() == "[]"
+    for modules, banned in (("convdeblur, convdeblur.cli", "scipy"),
+                            ("convdeblur", "click")):
+        code = (f"import sys, {modules}; "
+                f"print([m for m in sys.modules if m.split('.')[0] == "
+                f"{banned!r}])")
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             check=True, capture_output=True, text=True).stdout
+        assert out.strip() == "[]", (modules, out)
