@@ -90,7 +90,7 @@ class DeblurResult:
     image: np.ndarray
     kernel: np.ndarray
     trace: list             # accepted objective values, one per outer iteration
-    iterations: int
+    iterations: int         # len(trace)
     converged: bool
 
 
@@ -160,9 +160,7 @@ def blind_deblur(b, cfg, spectrum=None, hessian=None):
     hess = _hessian(obs.b, cfg, spectrum, hessian)
     k = np.full((cfg.m1, cfg.m2), 1.0 / (cfg.m1 * cfg.m2))
     trace = []
-    prev_obj = None
     converged = False
-    it = 0
     state = None
     lam_factor = 1.0
     for it in range(1, cfg.max_outer + 1):
@@ -176,21 +174,19 @@ def blind_deblur(b, cfg, spectrum=None, hessian=None):
                         state=state)
         img_new = res.image
         obj = blind_objective(obs, img_new, k_new, cfg.lam, cfg.alpha, hess)
-        if prev_obj is not None and obj > prev_obj + OBJECTIVE_SLACK * max(1.0, abs(prev_obj)):
+        if trace and obj > trace[-1] + OBJECTIVE_SLACK * max(1.0, abs(trace[-1])):
             # the objective rose: not a descent step, so stop unconverged
             # and keep the previous (better) iterate
-            it -= 1
             break
         k_change = float(np.linalg.norm(k_new - k))
         k, img, state = k_new, img_new, res.state
         trace.append(obj)
-        if prev_obj is not None:
-            rel = abs(prev_obj - obj) / max(abs(prev_obj), 1e-30)
+        if len(trace) > 1:
+            rel = abs(trace[-2] - obj) / max(abs(trace[-2]), 1e-30)
             if k_change < K_TOL and rel < OBJ_REL_TOL and lam_factor == 1.0:
                 converged = True
                 break
-        prev_obj = obj
-    return DeblurResult(img, k, trace, it, converged)
+    return DeblurResult(img, k, trace, len(trace), converged)
 
 
 def impulse_distance(k):
@@ -219,7 +215,7 @@ def alpha_sweep(b, cfg, alphas, spectrum=None, hessian=None):
             "sharpness": spec_i.sigma_min,
             "iterations": res.iterations,
             "converged": res.converged,
-            "objective": res.trace[-1] if res.trace else float("nan"),
+            "objective": res.trace[-1],
             "result": res,
         })
     return rows

@@ -1,28 +1,17 @@
-"""Feature filters applied before spectral analysis: raw pixels or LoG edges."""
+"""Feature filters applied before spectral analysis: raw pixels or LoG edges.
 
-from dataclasses import dataclass
+A filter is its 2D array of taps; DELTA, the 1x1 impulse, keeps raw pixels.
+"""
 
 import numpy as np
 
 from .tensorops import _fft_conv_full, as_image
 
-
-@dataclass(frozen=True)
-class FeatureFilter:
-    """A small convolution filter; kind 'delta' is the 1x1 impulse."""
-    kind: str
-    taps: np.ndarray
-
-    def __post_init__(self):
-        if self.kind not in ("delta", "log"):
-            raise ValueError(f"unknown filter kind {self.kind!r}")
-
-
-DELTA = FeatureFilter("delta", np.ones((1, 1)))
+DELTA = np.ones((1, 1))
 
 
 def make_log(sigma=1.0):
-    """Laplacian-of-Gaussian filter on a (2*ceil(3*sigma)+1)^2 grid.
+    """Laplacian-of-Gaussian taps on a (2*ceil(3*sigma)+1)^2 grid.
 
     Taps are mean-subtracted so the filter sums exactly to zero (constant
     images map to zero). Amplitude is not normalized: rescaling the filter
@@ -36,7 +25,7 @@ def make_log(sigma=1.0):
     r2 = (x * x + y * y) / (2.0 * sigma ** 2)
     taps = -(1.0 / (np.pi * sigma ** 4)) * (1.0 - r2) * np.exp(-r2)
     taps -= taps.mean()
-    return FeatureFilter("log", taps)
+    return taps
 
 
 def get_filter(name, sigma=1.0):
@@ -48,9 +37,9 @@ def get_filter(name, sigma=1.0):
 
 
 def apply_filter(f, img):
-    """Full-mode convolution of the filter with the image, by FFT; delta is
-    identity (a copy)."""
+    """Full-mode convolution of the taps f with the image, by FFT; a 1x1 f
+    scales a copy of the image."""
     img = as_image(img)
-    if f.kind == "delta":
-        return img.copy()
-    return _fft_conv_full(f.taps, img)
+    if f.shape == (1, 1):
+        return f[0, 0] * img
+    return _fft_conv_full(f, img)

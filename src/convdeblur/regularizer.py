@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensorops import as_image, lag_gram, toeplitz_gram, vectorize
+from .tensorops import as_image, lag_gram, vectorize
 
 SIGMA_CLAMP_REL = 1e-12
 
@@ -64,18 +64,3 @@ def h_value(hess, k):
     v = vectorize(k)
     return float(v @ hess.matrix @ v)
 
-
-def necessary_condition_check(spec_b, sigma_min_i0, k):
-    """Per-index slacks sigma_i(B)/sigma_min(I0) - ||K (x) kappa_i||_F.
-
-    All slacks are >= 0 (up to roundoff) when K is the true kernel of a
-    noiseless blur; a violation certifies K cannot be the true kernel.
-    ||K (x) kappa_i||_F^2 = vec(kappa_i)^T G vec(kappa_i), G the Gram matrix
-    of K's Toeplitz operator on s1 x s2 probes.
-    """
-    k = as_image(k)
-    if sigma_min_i0 <= 0:
-        raise ValueError("sigma_min of the sharp image must be positive")
-    v = spec_b.vectors.reshape(len(spec_b.sigmas), -1)
-    sq = np.einsum("ij,ij->i", v @ toeplitz_gram(k, spec_b.s1, spec_b.s2), v)
-    return spec_b.sigmas / sigma_min_i0 - np.sqrt(np.clip(sq, 0.0, None))

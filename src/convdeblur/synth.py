@@ -14,21 +14,20 @@ KERNEL_FAMILIES = ("gaussian", "motion-line", "random-sparse", "curve")
 IMAGE_KINDS = ("step", "bars", "checker", "polygons")
 
 
-def _splat_points(grid, pts, weights=None):
-    """Bilinear splat of (row, col) points onto a grid, clamped to bounds."""
+def _splat_points(grid, pts):
+    """Bilinear splat of unit-mass (row, col) points onto a grid, clamped to
+    bounds."""
     m1, m2 = grid.shape
-    if weights is None:
-        weights = np.ones(len(pts))
-    for (r, c), w in zip(pts, weights):
+    for r, c in pts:
         r = min(max(r, 0.0), m1 - 1.0)
         c = min(max(c, 0.0), m2 - 1.0)
         r0, c0 = int(np.floor(r)), int(np.floor(c))
         fr, fc = r - r0, c - c0
         r1, c1 = min(r0 + 1, m1 - 1), min(c0 + 1, m2 - 1)
-        grid[r0, c0] += w * (1 - fr) * (1 - fc)
-        grid[r0, c1] += w * (1 - fr) * fc
-        grid[r1, c0] += w * fr * (1 - fc)
-        grid[r1, c1] += w * fr * fc
+        grid[r0, c0] += (1 - fr) * (1 - fc)
+        grid[r0, c1] += (1 - fr) * fc
+        grid[r1, c0] += fr * (1 - fc)
+        grid[r1, c1] += fr * fc
 
 
 def make_kernel(family, size, params=None, seed=0):
@@ -152,7 +151,8 @@ def synth_blur(i0, k, eps=0.0, seed=0, f=None):
     b0 = conv2d_full(i0, k)
     if eps == 0.0:
         return b0, np.zeros_like(b0)
-    f = f or make_log(1.0)
+    if f is None:
+        f = make_log(1.0)
     rng = np.random.default_rng(seed)
     noise = rng.standard_normal(b0.shape)
     scale = eps / np.linalg.norm(apply_filter(f, noise))

@@ -33,14 +33,14 @@ def as_image(x):
     return a
 
 
-def validate_kernel(k, tol=1e-9):
+def validate_kernel(k):
     """Check simplex membership: nonnegative entries summing to one."""
     k = as_image(k)
     if np.any(k < 0):
         raise ValueError("kernel has negative entries")
     s = k.sum()
-    if abs(s - 1.0) > tol:
-        raise ValueError(f"kernel sums to {s!r}, expected 1 within {tol}")
+    if abs(s - 1.0) > 1e-9:
+        raise ValueError(f"kernel sums to {s!r}, expected 1 within 1e-09")
     return k
 
 
@@ -137,10 +137,7 @@ def vectorize(x):
 
 
 def devectorize(v, rows, cols):
-    v = np.asarray(v, dtype=np.float64).ravel()
-    if v.size != rows * cols:
-        raise ValueError(f"cannot reshape length {v.size} into {rows}x{cols}")
-    return v.reshape(rows, cols)
+    return np.asarray(v, dtype=np.float64).ravel().reshape(rows, cols)
 
 
 def toeplitz(x, k1, k2):

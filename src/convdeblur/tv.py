@@ -129,10 +129,10 @@ def tv_deconv(b, k, cfg=None, assume_full=True, state=None):
     passing them back as `state` resumes the iteration where it stopped.
     Without a state it starts from Observation.start, b's central window.
 
-    With lam = 0 and full-convolution data the inverse filter is returned
-    directly. It minimizes the data term only for noise-free data; with
-    noise the least-squares minimizer is another image, whose data term can
-    be under half of the inverse filter's.
+    With lam = 0, full-convolution data and cfg.tol > 0 the inverse filter
+    is returned directly, without a state. It minimizes the data term only
+    for noise-free data; with noise the least-squares minimizer is another
+    image, whose data term can be under half of the inverse filter's.
     """
     k = validate_kernel(k)
     cfg = cfg or TvSolverConfig()
@@ -141,7 +141,7 @@ def tv_deconv(b, k, cfg=None, assume_full=True, state=None):
     n1, n2 = shape
     fk = rfft2(k, grid)   # k zero-embedded at the grid's top left
 
-    if cfg.lam == 0.0 and assume_full:
+    if cfg.lam == 0.0 and assume_full and cfg.tol > 0:
         # no regularizer: the inverse filter (see the docstring)
         img = irfft2(np.conj(fk) * rfft2(b, grid)
                      / np.maximum(np.abs(fk) ** 2, 1e-30), grid)

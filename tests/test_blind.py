@@ -249,6 +249,38 @@ class TestBlindDeblur:
                               res.kernel, cfg.lam, cfg.alpha, hess)
         assert np.isclose(obj, res.trace[-1], rtol=1e-10)
 
+    @pytest.mark.parametrize("alpha, max_outer, rise_at, iterations", [
+        (100.0, 150, None, 13),     # converges
+        (0.01, 3, None, 3),         # stops at max_outer
+        (0.01, 10, 3, 2),           # the objective rises at iteration 3
+    ])
+    def test_iterations_count_the_trace(self, case, monkeypatch, alpha,
+                                        max_outer, rise_at, iterations):
+        _, _, b, _, hess = case
+        real = blind.blind_objective
+        calls = []
+
+        def objective(*args):
+            calls.append(args)
+            return real(*args) + (1e3 if len(calls) == rise_at else 0.0)
+
+        monkeypatch.setattr(blind, "blind_objective", objective)
+        cfg = DeblurConfig(m1=5, m2=5, s1=8, s2=8, alpha=alpha,
+                           max_outer=max_outer, spectrum_method="gram")
+        res = blind_deblur(b, cfg, hessian=hess)
+        assert res.iterations == len(res.trace) == iterations
+        assert res.converged is (iterations < max_outer and rise_at is None)
+
+    def test_zero_lam_runs_the_image_step(self):
+        # at lam = 0 the image step is still the ADMM, with carried state:
+        # the inverse filter of a lone first step ended this run after one
+        # outer iteration
+        img = make_test_image("polygons", 48, seed=0)
+        b, _ = synth_blur(img, make_kernel("gaussian", 5, {"sigma": 1.0}))
+        res = blind_deblur(b, DeblurConfig(m1=5, m2=5, alpha=0.01, lam=0.0,
+                                           max_outer=40))
+        assert res.iterations > 1
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             DeblurConfig(m1=0, m2=5)

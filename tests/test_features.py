@@ -1,18 +1,19 @@
 import numpy as np
 import pytest
 
-from convdeblur.features import (DELTA, FeatureFilter, apply_filter,
-                                 get_filter, make_log)
+from convdeblur.features import DELTA, apply_filter, get_filter, make_log
 from convdeblur.tensorops import conv2d_full
 
 
 class TestDelta:
     def test_is_1x1_identity(self):
-        assert DELTA.taps.shape == (1, 1)
+        assert DELTA.shape == (1, 1)
         x = np.arange(20.0).reshape(4, 5)
         out = apply_filter(DELTA, x)
         assert np.array_equal(out, x)
         assert out is not x  # must be a copy
+        # other 1x1 taps scale the image, as a full convolution does
+        assert np.array_equal(apply_filter(np.full((1, 1), 2.0), x), 2.0 * x)
 
     def test_get_filter(self):
         assert get_filter("delta") is DELTA
@@ -22,14 +23,14 @@ class TestLog:
     def test_zero_sum(self):
         for sigma in (0.5, 1.0, 2.0):
             f = make_log(sigma)
-            assert abs(f.taps.sum()) < 1e-14
+            assert abs(f.sum()) < 1e-14
 
     def test_grid_size(self):
-        assert make_log(1.0).taps.shape == (7, 7)
-        assert make_log(2.0).taps.shape == (13, 13)
+        assert make_log(1.0).shape == (7, 7)
+        assert make_log(2.0).shape == (13, 13)
 
     def test_symmetry(self):
-        taps = make_log(1.0).taps
+        taps = make_log(1.0)
         assert np.allclose(taps, taps[::-1, :])
         assert np.allclose(taps, taps[:, ::-1])
         assert np.allclose(taps, taps.T)
@@ -45,19 +46,19 @@ class TestLog:
         rng = np.random.default_rng(0)
         img = rng.uniform(size=(9, 8))
         f = make_log(1.0)
-        assert np.allclose(apply_filter(f, img), conv2d_full(f.taps, img))
+        assert np.allclose(apply_filter(f, img), conv2d_full(f, img))
 
     @pytest.mark.parametrize("shape", [(9, 9), (10, 10), (9, 16)])
     def test_fft_filter_matches_direct_convolution(self, shape):
         img = np.random.default_rng(1).uniform(size=shape)
         f = make_log(1.0)
-        ref = conv2d_full(f.taps, img)
+        ref = conv2d_full(f, img)
         out = apply_filter(f, img)
         assert out.shape == ref.shape
         assert np.max(np.abs(out - ref)) <= 1e-12 * np.max(np.abs(ref))
 
     def test_center_is_negative_peak(self):
-        taps = make_log(1.0).taps
+        taps = make_log(1.0)
         r = taps.shape[0] // 2
         assert taps[r, r] == taps.min()
 
@@ -71,5 +72,3 @@ class TestLog:
     def test_unknown_names(self):
         with pytest.raises(ValueError):
             get_filter("sobel")
-        with pytest.raises(ValueError):
-            FeatureFilter("box", np.ones((3, 3)))

@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from convdeblur.features import DELTA, make_log
-from convdeblur.regularizer import (SIGMA_CLAMP_REL, build_hessian, h_value,
-                                    necessary_condition_check)
+from convdeblur.regularizer import SIGMA_CLAMP_REL, build_hessian, h_value
 from convdeblur.spectral import ConvSpectrum, conv_spectrum
 from convdeblur.synth import make_kernel, make_test_image, synth_blur
 from convdeblur.tensorops import conv2d_full, toeplitz_gram, vectorize
@@ -34,6 +33,21 @@ def h_value_direct(spec, k):
         sig = max(float(sig), floor)
         total += np.sum(conv2d_full(k, vec) ** 2) / (sig * sig)
     return total
+
+
+def necessary_condition_check(spec_b, sigma_min_i0, k):
+    """Per-index slacks sigma_i(B)/sigma_min(I0) - ||K (x) kappa_i||_F.
+
+    All slacks are >= 0 (up to roundoff) when K is the true kernel of a
+    noiseless blur; a violation certifies K cannot be the true kernel.
+    ||K (x) kappa_i||_F^2 = vec(kappa_i)^T G vec(kappa_i), G the Gram matrix
+    of K's Toeplitz operator on s1 x s2 probes.
+    """
+    if sigma_min_i0 <= 0:
+        raise ValueError("sigma_min of the sharp image must be positive")
+    v = spec_b.vectors.reshape(len(spec_b.sigmas), -1)
+    sq = np.einsum("ij,ij->i", v @ toeplitz_gram(k, spec_b.s1, spec_b.s2), v)
+    return spec_b.sigmas / sigma_min_i0 - np.sqrt(np.clip(sq, 0.0, None))
 
 
 @pytest.fixture(scope="module")

@@ -147,6 +147,16 @@ class TestTvDeconv:
         assert res.image.shape == img.shape
         assert np.max(np.abs(res.image - img)) < 1e-8
 
+    def test_zero_tol_runs_admm_without_tv(self):
+        # tol = 0 runs all max_inner iterations and returns a state to
+        # resume from, also at lam = 0, where the inverse filter would not
+        img = make_test_image("polygons", 32, seed=1)
+        k = make_kernel("gaussian", 5, {"sigma": 1.2})
+        res = tv_deconv(conv2d_full(img, k), k,
+                        TvSolverConfig(lam=0.0, max_inner=7, tol=0.0))
+        assert res.iterations == 7
+        assert res.state is not None
+
     def test_impulse_kernel_identity(self):
         img = make_test_image("bars", 24, seed=0)
         res = tv_deconv(img, np.ones((1, 1)), TvSolverConfig(lam=0.0))
