@@ -8,11 +8,11 @@ image step is TV deconvolution.
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .features import get_filter
+from .features import make_log
 from .regularizer import build_hessian, h_value
 from .simplex_qp import QpProblem, solve_qp
 from .spectral import conv_spectrum
@@ -59,9 +59,9 @@ class DeblurConfig:
     s1: int = None          # default ceil(1.5 * m)
     s2: int = None
     alpha: float = 1.0
-    lam: float = 0.0015
-    feature: str = "log"
-    log_sigma: float = 1.0
+    lam: float = TvSolverConfig.lam
+    # feature filter taps; left out of ==, where an array has no truth value
+    f: np.ndarray = field(default_factory=make_log, compare=False)
     max_outer: int = 150
     spectrum_method: str = "gram"
     assume_full: bool = True    # False: B is a same-size (cropped) observation
@@ -75,14 +75,11 @@ class DeblurConfig:
             raise ValueError("max_outer must be >= 1")
         if self.spectrum_method not in ("svd", "gram"):
             raise ValueError(f"unknown spectrum method {self.spectrum_method!r}")
-        self.filter()   # an unknown feature or a bad log_sigma raises here
+        self.f = as_image(self.f)
         self.s1 = sample_size(self.m1, self.s1)
         self.s2 = sample_size(self.m2, self.s2)
         if self.s1 < 1 or self.s2 < 1:
             raise ValueError("sampling sizes must be >= 1")
-
-    def filter(self):
-        return get_filter(self.feature, self.log_sigma)
 
 
 @dataclass(frozen=True)
@@ -135,7 +132,7 @@ def _hessian(b, cfg, spectrum, hessian):
     if hessian is not None:
         return hessian
     if spectrum is None:
-        spectrum = conv_spectrum(b, cfg.filter(), cfg.s1, cfg.s2,
+        spectrum = conv_spectrum(b, cfg.f, cfg.s1, cfg.s2,
                                  method=cfg.spectrum_method)
     return build_hessian(spectrum, cfg.m1, cfg.m2)
 
@@ -195,7 +192,7 @@ def impulse_distance(k):
     return float(np.sqrt(max(np.sum(k * k) - 2.0 * k.max() + 1.0, 0.0)))
 
 
-def alpha_sweep(b, cfg, alphas, spectrum=None, hessian=None):
+def alpha_sweep(b, cfg, alphas, hessian=None):
     """Run blind_deblur per alpha, each replacing cfg.alpha; report distance
     of the estimated kernel from an impulse and the restored image's
     sharpness, exposing the no-blur threshold."""
@@ -203,11 +200,11 @@ def alpha_sweep(b, cfg, alphas, spectrum=None, hessian=None):
         raise ValueError("alpha list is empty")
     cfgs = [replace(cfg, alpha=float(a)) for a in alphas]
     b = as_image(b)
-    hessian = _hessian(b, cfg, spectrum, hessian)
+    hessian = _hessian(b, cfg, None, hessian)
     rows = []
     for c in cfgs:
         res = blind_deblur(b, c, hessian=hessian)
-        spec_i = conv_spectrum(res.image, cfg.filter(), cfg.s1, cfg.s2,
+        spec_i = conv_spectrum(res.image, cfg.f, cfg.s1, cfg.s2,
                                method=cfg.spectrum_method)
         rows.append({
             "alpha": c.alpha,

@@ -16,9 +16,9 @@ import click
 import numpy as np
 
 from . import blind, imgio, metrics, synth
-from .features import get_filter
+from .features import apply_filter, get_filter
 from .spectral import GRAM_MIN_RATIO, conv_spectrum
-from .tensorops import central_window
+from .tensorops import central_window, conv2d_full
 from .tv import TvSolverConfig, tv_deconv
 
 EXIT_VALIDATION = 2
@@ -76,11 +76,12 @@ FEATURE = (
     click.option("--log-sigma", type=float, default=1.0),
 )
 METHOD = click.option("--method", type=click.Choice(["svd", "gram"]),
-                      default="gram", show_default=True,
+                      default=blind.DeblurConfig.spectrum_method,
+                      show_default=True,
                       help="gram: FFT Gram matrix, warns when sigma_min / "
                            f"sigma_max < {GRAM_MIN_RATIO:g}; svd: streamed "
                            "QR, the accurate reference")
-LAMBDA = click.option("--lambda", "lam", type=float, default=0.0015)
+LAMBDA = click.option("--lambda", "lam", default=TvSolverConfig.lam)
 CROPPED = click.option("--cropped", is_flag=True,
                        help="treat IMAGE as a cropped observation rather than "
                             "full-convolution output")
@@ -97,7 +98,7 @@ SCENE = (click.option("--image", "image_kind", default="polygons",
          click.option("--kernel-size", type=int, default=9),
          click.option("--seed", type=int, default=0))
 DEBLUR = (*KERNEL, LAMBDA,
-          click.option("--max-iters", type=int, default=150),
+          click.option("--max-iters", default=blind.DeblurConfig.max_outer),
           *FEATURE, METHOD, CROPPED)
 
 
@@ -151,7 +152,7 @@ def to_float(text, what):
     raise ValueError(f"{what}: {text!r} is not finite")
 
 
-def spectrum_of(img, s, feature="log", log_sigma=1.0, method="gram"):
+def spectrum_of(img, s, method, feature="log", log_sigma=1.0):
     """Convolution spectrum of img on s x s probes under the named filter."""
     return conv_spectrum(img, get_filter(feature, log_sigma), s, s, method)
 
@@ -186,7 +187,7 @@ def deblur_config(kernel_size, sample_size, lam, max_iters, feature,
     """The options of deblur and sweep; sweep replaces alpha per run."""
     return blind.DeblurConfig(
         m1=kernel_size, m2=kernel_size, s1=sample_size, s2=sample_size,
-        alpha=alpha, lam=lam, feature=feature, log_sigma=log_sigma,
+        alpha=alpha, lam=lam, f=get_filter(feature, log_sigma),
         max_outer=max_iters, spectrum_method=method, assume_full=not cropped)
 
 
@@ -204,8 +205,8 @@ def main():
 def spectrum(image, feature, log_sigma, sample_size, method,
              save_eigenvectors, out):
     """Convolution eigenvalues of IMAGE: emits index,sigma CSV."""
-    spec = spectrum_of(imgio.load_image(image), sample_size, feature,
-                       log_sigma, method)
+    spec = spectrum_of(imgio.load_image(image), sample_size, method, feature,
+                       log_sigma)
     write_csv(os.path.join(out, "spectrum.csv"), ["index", "sigma"],
               [(i + 1, float(s)) for i, s in enumerate(spec.sigmas)])
     for i in range(min(save_eigenvectors, len(spec.sigmas))):
@@ -226,8 +227,8 @@ def estimate_kernel_cmd(image, kernel_size, sample_size, feature, log_sigma,
     Prints the QP's objective, its scale-free KKT residual and its
     iterations, which count working-set changes."""
     spec = spectrum_of(imgio.load_image(image),
-                       blind.sample_size(kernel_size, sample_size), feature,
-                       log_sigma, method)
+                       blind.sample_size(kernel_size, sample_size), method,
+                       feature, log_sigma)
     k, _, sol = blind.estimate_kernel(spec, kernel_size, kernel_size)
     imgio.save_kernel_txt(os.path.join(out, "kernel.txt"), k)
     imgio.save_kernel_image(os.path.join(out, "kernel.pgm"), k)
@@ -239,8 +240,8 @@ def estimate_kernel_cmd(image, kernel_size, sample_size, feature, log_sigma,
 
 @subcommand(main, "deconv", IMAGE,
             click.argument("kernel", type=click.Path(exists=True)), LAMBDA,
-            click.option("--max-iters", type=int, default=5000),
-            click.option("--tol", type=float, default=1e-5), CROPPED)
+            click.option("--max-iters", default=TvSolverConfig.max_inner),
+            click.option("--tol", default=TvSolverConfig.tol), CROPPED)
 def deconv_cmd(image, kernel, lam, max_iters, tol, cropped, out):
     """Non-blind TV deconvolution of IMAGE with a known KERNEL file."""
     res = tv_deconv(imgio.load_image(image), imgio.load_kernel_txt(kernel),
@@ -316,8 +317,10 @@ def eval_cmd(case_dir, kernel_size, feature, log_sigma, method, lam, out):
     k_true = imgio.load_kernel_txt(os.path.join(case_dir, "kernel_true.txt"))
     m = k_true.shape[0] if kernel_size is None else kernel_size
     s = blind.sample_size(m)
-    spec_b = spectrum_of(b, s, feature, log_sigma, method)
-    spec_i = spectrum_of(sharp, s, feature, log_sigma, method)
+    f = get_filter(feature, log_sigma)
+    spec_b, spec_i = (conv_spectrum(x, f, s, s, method) for x in (b, sharp))
+    # the case's noise norm under f, exactly 0 for a noiseless case
+    eps = np.linalg.norm(apply_filter(f, b - conv2d_full(sharp, k_true)))
     k_est, _, qp = blind.estimate_kernel(spec_b, m, m)
     res = tv_deconv(b, k_est, TvSolverConfig(lam=lam))
     restored = res.image
@@ -333,7 +336,7 @@ def eval_cmd(case_dir, kernel_size, feature, log_sigma, method, lam, out):
         noiseless_bound=metrics.noiseless_error_bound(
             spec_b.sigma_max, spec_i.sigma_min),
         noisy_bound=metrics.noisy_error_bound(
-            spec_b.sigma_max, spec_b.sigma_min, spec_i.sigma_min, s, s, 0.0),
+            spec_b.sigma_max, spec_b.sigma_min, spec_i.sigma_min, s, s, eps),
         psnr_blurry=metrics.psnr(window(b), window(sharp)),
         psnr_restored=metrics.psnr(window(restored), window(sharp)),
         sigma_ratio=spec_b.sigma_max / spec_i.sigma_min,
@@ -389,8 +392,8 @@ def repro_fig2(image_kind, size, kernel_size, seed, kernel_sigma, sample_size,
     rows = []
     ratios = {}
     for feat in ("delta", "log"):
-        spec_i = spectrum_of(sharp, sample_size, feat, method=method)
-        spec_b = spectrum_of(b, sample_size, feat, method=method)
+        spec_i = spectrum_of(sharp, sample_size, method, feat)
+        spec_b = spectrum_of(b, sample_size, method, feat)
         for i in range(sample_size ** 2):
             rows.append((feat, i + 1, float(spec_i.sigmas[i]),
                          float(spec_b.sigmas[i])))
@@ -412,7 +415,7 @@ def repro_fig3(image_kind, size, kernel_size, seed, method, out):
     sharp = load_scene(image_kind, size, seed)
     m = kernel_size
     s = blind.sample_size(m)
-    spec_i = spectrum_of(sharp, s, method=method)
+    spec_i = spectrum_of(sharp, s, method)
     cases = [
         ("gaussian", {"sigma": m / 5.0}),
         ("gaussian", {"sigma": m / 8.0}),
@@ -425,7 +428,7 @@ def repro_fig3(image_kind, size, kernel_size, seed, method, out):
     for idx, (family, params) in enumerate(cases):
         k_true = synth.make_kernel(family, m, params, seed=seed + idx)
         b, _ = synth.synth_blur(sharp, k_true)
-        spec_b = spectrum_of(b, s, method=method)
+        spec_b = spectrum_of(b, s, method)
         k_est, _, qp = blind.estimate_kernel(spec_b, m, m)
         warn_unless_converged(f"case {idx + 1}'s kernel QP", qp)
         err = synth.kernel_error(k_est, k_true)

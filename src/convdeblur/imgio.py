@@ -95,15 +95,15 @@ def save_kernel_txt(path, k):
 
 
 def load_kernel_txt(path):
-    rows = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            rows.append([float(tok) for tok in line.split()])
+    try:
+        with open(path) as fh:
+            rows = [[float(tok) for tok in toks] for toks in map(str.split, fh)
+                    if toks and not toks[0].startswith("#")]
+    except ValueError:      # not text, or a token that is not a decimal
+        rows = []
     if not rows or any(len(r) != len(rows[0]) for r in rows):
-        raise ValueError(f"malformed kernel file {path!r}")
+        raise ValueError(f"malformed kernel file {path!r}: expected lines of "
+                         "whitespace-separated decimals, one per kernel row")
     return validate_kernel(np.array(rows))
 
 

@@ -12,8 +12,8 @@ they need do not wrap: l + min(k, l) - 1 for the Gram matrix, whose lags
 past the image are exact zeros, and the right-hand side's size for the
 adjoint. `Observation` places a blurry image on the full-convolution grid.
 `toeplitz_row_blocks` streams the rows of masked output pixels a block at a
-time, and `toeplitz` builds the explicit matrix, whose size grows with
-pixels times probe size (tests use it as the reference).
+time, and `toeplitz` stacks all of them into the explicit matrix, whose size
+grows with pixels times probe size (tests check it against `conv2d_full`).
 `rfft2`, `irfft2` and `fast_len` match scipy.fft bit for bit, without scipy.
 """
 
@@ -145,17 +145,11 @@ def toeplitz(x, k1, k2):
 
     A has shape (l1+k1-1)(l2+k2-1) x k1*k2 and satisfies
     A @ vectorize(Y) == vectorize(conv2d_full(x, Y)) for every k1 x k2 Y.
+    Its rows are those of toeplitz_row_blocks, stacked.
     """
-    x = as_image(x)
     if k1 < 1 or k2 < 1:
         raise ValueError("probe sizes must be >= 1")
-    l1, l2 = x.shape
-    out1, out2 = l1 + k1 - 1, l2 + k2 - 1
-    a = np.zeros((out1, out2, k1, k2))
-    for u in range(k1):
-        for v in range(k2):
-            a[u:u + l1, v:v + l2, u, v] = x
-    return a.reshape(out1 * out2, k1 * k2)
+    return np.concatenate(list(toeplitz_row_blocks(as_image(x), k1, k2)))
 
 
 def toeplitz_row_blocks(x, k1, k2, mask=None, block_rows=BLOCK_ROWS):

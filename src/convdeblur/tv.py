@@ -40,7 +40,7 @@ class TvSolverConfig:
     """lam weighs TV; max_inner caps the iterations and tol is the stopping
     test."""
     lam: float = 0.0015
-    max_inner: int = 100
+    max_inner: int = 5000
     tol: float = 1e-5
 
     def __post_init__(self):

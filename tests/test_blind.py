@@ -292,13 +292,13 @@ class TestBlindDeblur:
             with pytest.raises(ValueError, match="nonnegative and finite"):
                 DeblurConfig(m1=5, m2=5, **bad)
         # with a Hessian given, a run reads neither the method nor the
-        # feature: they are checked here, not at a later sweep's spectrum
+        # filter: they are checked here, not at a later sweep's spectrum
         with pytest.raises(ValueError, match="unknown spectrum method"):
             DeblurConfig(m1=5, m2=5, spectrum_method="bogus")
-        with pytest.raises(ValueError, match="unknown feature filter"):
-            DeblurConfig(m1=5, m2=5, feature="bogus")
-        with pytest.raises(ValueError, match="sigma"):
-            DeblurConfig(m1=5, m2=5, log_sigma=np.nan)
+        with pytest.raises(ValueError, match="NaN"):
+            DeblurConfig(m1=5, m2=5, f=np.full((3, 3), np.nan))
+        with pytest.raises(ValueError, match="2D"):
+            DeblurConfig(m1=5, m2=5, f=np.ones(3))
         with pytest.raises(ValueError, match="sampling sizes"):
             DeblurConfig(m1=5, m2=5, s1=0)
         with pytest.raises(ValueError, match="max_outer"):
@@ -327,6 +327,14 @@ class TestBlindDeblur:
         alpha_sweep(b, cfg, [1e-3, 1e-1], hessian=hess)
         assert len(calls) == 2
 
+    def test_filter_taps_default_and_equality(self):
+        # the default is the LoG at sigma 1; configs with array taps compare
+        # without raising, on every field but the taps
+        cfg = DeblurConfig(m1=5, m2=5)
+        assert np.array_equal(cfg.f, make_log(1.0))
+        assert cfg == DeblurConfig(m1=5, m2=5)
+        assert cfg != DeblurConfig(m1=5, m2=5, alpha=2.0)
+
     def test_default_sampling_sizes(self):
         cfg = DeblurConfig(m1=9, m2=9)
         assert cfg.s1 == cfg.s2 == 14
@@ -345,29 +353,29 @@ class TestImpulseDistance:
 
 class TestAlphaSweep:
     def test_rows_and_ordering(self, case):
-        _, _, b, spec, hess = case
+        _, _, b, _, hess = case
         cfg = DeblurConfig(m1=5, m2=5, s1=8, s2=8, alpha=1.0, max_outer=5,
                            spectrum_method="gram")
-        rows = alpha_sweep(b, cfg, [1e-3, 1e-1], spectrum=spec, hessian=hess)
+        rows = alpha_sweep(b, cfg, [1e-3, 1e-1], hessian=hess)
         assert [r["alpha"] for r in rows] == [1e-3, 1e-1]
         for r in rows:
             assert set(r) >= {"alpha", "impulse_distance", "iterations",
                               "converged", "objective", "sharpness"}
 
     def test_empty_alphas_rejected(self, case):
-        _, _, b, spec, hess = case
+        _, _, b, _, hess = case
         cfg = DeblurConfig(m1=5, m2=5, s1=8, s2=8)
         with pytest.raises(ValueError):
-            alpha_sweep(b, cfg, [], spectrum=spec, hessian=hess)
+            alpha_sweep(b, cfg, [], hessian=hess)
 
     def test_negative_alpha_rejected_before_any_run(self, case, monkeypatch):
-        _, _, b, spec, hess = case
+        _, _, b, _, hess = case
         runs = []
         monkeypatch.setattr(blind, "blind_deblur",
                             lambda *args, **kwargs: runs.append(args))
         cfg = DeblurConfig(m1=5, m2=5, s1=8, s2=8)
         with pytest.raises(ValueError, match="nonnegative"):
-            alpha_sweep(b, cfg, [0.1, -1.0], spectrum=spec, hessian=hess)
+            alpha_sweep(b, cfg, [0.1, -1.0], hessian=hess)
         assert runs == []
 
 

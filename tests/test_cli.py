@@ -6,14 +6,16 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from convdeblur import blind
+from convdeblur import blind, cli
+from convdeblur.blind import DeblurConfig, blind_deblur, sample_size
 from convdeblur.cli import main
+from convdeblur.features import DELTA, make_log
 from convdeblur.imgio import (load_image, load_kernel_txt, save_image,
                               save_kernel_txt)
+from convdeblur.metrics import noiseless_error_bound, noisy_error_bound
+from convdeblur.spectral import conv_spectrum
 from convdeblur.synth import make_kernel, make_test_image, synth_blur
-
-IMAGE_STEP_UNCONVERGED = ("warning: the image step stopped unconverged "
-                          "after 100 iterations")
+from convdeblur.tv import TvSolverConfig
 
 
 @pytest.fixture
@@ -134,37 +136,47 @@ def test_eval_prints_the_gram_warning_on_one_line(runner, tmp_path, method,
     r = runner.invoke(main, ["eval", "--case", str(case), "--method", method,
                              "-o", str(tmp_path / "eval")])
     assert r.exit_code == 0, r.output
-    *lines, last = r.stderr.splitlines()
+    # the image step converges: no line of its own
+    lines = r.stderr.splitlines()
     assert len(lines) == n_lines
     assert all(re.match(r"warning: sigma_min / sigma_max = \S+ is below "
                         r"1e-07", l) for l in lines)
-    # the image step's 100 ADMM iterations stop short of its tolerance
-    assert last == IMAGE_STEP_UNCONVERGED
 
 
 def test_eval_warns_for_each_unconverged_solver(runner, tmp_path,
                                                 monkeypatch):
-    # one warning line per solver that stops unconverged: the image step
-    # on this case, and the kernel QP when it reports so; neither changes
-    # the outputs or the exit code
+    # eval's image step runs with deconv's defaults and converges on this
+    # case, so nothing warns; each solver that reports unconverged gets one
+    # warning line, which changes neither the outputs nor the exit code
     case = tmp_path / "case"
     r = runner.invoke(main, ["synth", "--size", "48", "--kernel-size", "5",
                              "-o", str(case)])
     assert r.exit_code == 0, r.output
+    steps = []
+    real_tv = cli.tv_deconv
+    monkeypatch.setattr(cli, "tv_deconv", lambda *args, **kwargs:
+                        steps.append(real_tv(*args, **kwargs)) or steps[-1])
     r = runner.invoke(main, ["eval", "--case", str(case), "-o",
                              str(tmp_path / "a")])
     assert r.exit_code == 0, r.output
-    assert r.stderr.splitlines() == [IMAGE_STEP_UNCONVERGED]
-    real = blind.solve_qp
+    assert r.stderr == ""
+    [step] = steps
+    assert step.converged
+    assert step.iterations < TvSolverConfig.max_inner
+    real_qp = blind.solve_qp
     monkeypatch.setattr(blind, "solve_qp", lambda *args, **kwargs:
-                        dataclasses.replace(real(*args, **kwargs),
+                        dataclasses.replace(real_qp(*args, **kwargs),
+                                            converged=False))
+    monkeypatch.setattr(cli, "tv_deconv", lambda *args, **kwargs:
+                        dataclasses.replace(real_tv(*args, **kwargs),
                                             converged=False))
     r = runner.invoke(main, ["eval", "--case", str(case), "-o",
                              str(tmp_path / "b")])
     assert r.exit_code == 0, r.output
     assert r.stderr.splitlines() == [
         "warning: the kernel QP stopped unconverged after 0 iterations",
-        IMAGE_STEP_UNCONVERGED]
+        "warning: the image step stopped unconverged after "
+        f"{step.iterations} iterations"]
     for name in ("kernel_estimated.txt", "restored.pgm"):
         assert (tmp_path / "a" / name).read_bytes() \
             == (tmp_path / "b" / name).read_bytes()
@@ -174,6 +186,59 @@ def test_eval_warns_for_each_unconverged_solver(runner, tmp_path,
     assert r.stderr.splitlines() == [
         f"warning: case {i}'s kernel QP stopped unconverged after "
         "0 iterations" for i in range(1, 7)]
+
+
+def test_eval_noisy_bound_uses_the_case_noise(runner, tmp_path):
+    # eps is ||LoG(B - I0 * K0)||_F, the --noise of synth, which draws the
+    # noise under the same LoG
+    case = tmp_path / "case"
+    r = runner.invoke(main, ["synth", "--size", "48", "--kernel-size", "5",
+                             "--noise", "0.05", "-o", str(case)])
+    assert r.exit_code == 0, r.output
+    out = tmp_path / "eval"
+    r = runner.invoke(main, ["eval", "--case", str(case), "-o", str(out)])
+    assert r.exit_code == 0, r.output
+    rows = dict(line.split(",") for line in
+                (out / "metrics.csv").read_text().splitlines()[1:])
+    s = sample_size(5)
+    spec_b, spec_i = (conv_spectrum(np.load(case / name), make_log(1.0), s,
+                                    s, "gram")
+                      for name in ("blurry.npy", "sharp.npy"))
+    expected = noisy_error_bound(spec_b.sigma_max, spec_b.sigma_min,
+                                 spec_i.sigma_min, s, s, eps=0.05)
+    assert float(rows["noisy_bound"]) == pytest.approx(expected, rel=1e-9)
+    assert float(rows["noiseless_bound"]) == noiseless_error_bound(
+        spec_b.sigma_max, spec_i.sigma_min)
+    assert float(rows["noisy_bound"]) > float(rows["noiseless_bound"])
+
+
+def test_deconv_names_a_kernel_file_that_is_not_text(runner, tmp_path):
+    case = tmp_path / "case"
+    r = runner.invoke(main, ["synth", "--size", "16", "--kernel-size", "3",
+                             "-o", str(case)])
+    assert r.exit_code == 0, r.output
+    kernel = str(case / "blurry.npy")
+    r = runner.invoke(main, ["deconv", str(case / "blurry.pgm"), kernel,
+                             "-o", str(tmp_path / "o")])
+    assert r.exit_code == 2, r.output
+    assert f"malformed kernel file {kernel!r}" in r.stderr
+    assert "whitespace-separated decimals" in r.stderr
+
+
+@pytest.mark.parametrize("flags, taps", [
+    (["--feature", "delta"], DELTA), (["--log-sigma", "2"], make_log(2.0))],
+    ids=["delta", "log-sigma-2"])
+def test_deblur_filter_flags_give_the_library_taps(runner, blurry_pgm,
+                                                   tmp_path, flags, taps):
+    out = tmp_path / "o"
+    r = runner.invoke(main, ["deblur", blurry_pgm, "--kernel-size", "5",
+                             "--alpha", "0.01", "--max-iters", "3", *flags,
+                             "-o", str(out)])
+    assert r.exit_code in (0, 3), r.output
+    res = blind_deblur(load_image(blurry_pgm),
+                       DeblurConfig(m1=5, m2=5, alpha=0.01, max_outer=3,
+                                    f=taps))
+    assert np.array_equal(load_kernel_txt(out / "kernel.txt"), res.kernel)
 
 
 def test_eval_warns_when_restoration_is_worse_than_blurry(runner, tmp_path):

@@ -81,6 +81,15 @@ class TestKernelFiles:
         with pytest.raises(ValueError):
             load_kernel_txt(p)
 
+    @pytest.mark.parametrize("data", [b"\x93NUMPY\x01\x00", b"0.5 abc\n"],
+                             ids=["binary", "not-a-decimal"])
+    def test_error_names_the_file_and_the_format(self, tmp_path, data):
+        p = tmp_path / "k.npy"
+        p.write_bytes(data)
+        with pytest.raises(ValueError, match="malformed kernel file .*k.npy"
+                           ".*whitespace-separated decimals"):
+            load_kernel_txt(p)
+
     def test_kernel_image(self, tmp_path):
         k = make_kernel("gaussian", 5, {"sigma": 1.0})
         p = tmp_path / "k.pgm"

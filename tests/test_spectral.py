@@ -177,8 +177,9 @@ def test_svd_spectrum_memory_is_independent_of_operator_size():
 
 
 def test_gram_is_the_default():
-    for fn in (conv_spectrum, cli.spectrum_of):
-        assert inspect.signature(fn).parameters["method"].default == "gram"
+    # the CLI's --method default is read from DeblurConfig
+    assert inspect.signature(conv_spectrum).parameters["method"].default \
+        == "gram"
     assert DeblurConfig(m1=3, m2=3).spectrum_method == "gram"
     for command in ("spectrum", "estimate-kernel", "deblur", "sweep"):
         r = CliRunner().invoke(cli.main, [command, "--help"])

@@ -157,6 +157,8 @@ class TestToeplitz:
         assert a.shape == (16, 4)
 
     def test_faithful_on_random_pairs(self):
+        # the production rows (toeplitz_row_blocks, stacked) against
+        # conv2d_full's direct sums
         rng = np.random.default_rng(7)
         for _ in range(20):
             l1, l2 = rng.integers(2, 8, 2)
