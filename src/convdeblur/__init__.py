@@ -10,8 +10,8 @@ from .simplex_qp import QpProblem, QpSolution, project_simplex, solve_qp
 from .spectral import ConvSpectrum, conv_spectrum
 from .synth import (align_kernels, kernel_error, make_kernel, make_test_image,
                     synth_blur)
-from .tensorops import (Observation, conv2d_full, devectorize, toeplitz,
-                        toeplitz_gram, validate_kernel, vectorize)
+from .tensorops import (Observation, conv2d_full, devectorize, toeplitz_gram,
+                        validate_kernel, vectorize)
 from .tv import TvSolverConfig, total_variation, tv_deconv
 
 __version__ = "0.1.0"

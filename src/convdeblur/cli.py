@@ -16,7 +16,7 @@ import click
 import numpy as np
 
 from . import blind, imgio, metrics, synth
-from .features import apply_filter, get_filter
+from .features import apply_filter, get_filter, make_log
 from .spectral import GRAM_MIN_RATIO, conv_spectrum
 from .tensorops import central_window, conv2d_full
 from .tv import TvSolverConfig, tv_deconv
@@ -152,11 +152,6 @@ def to_float(text, what):
     raise ValueError(f"{what}: {text!r} is not finite")
 
 
-def spectrum_of(img, s, method, feature="log", log_sigma=1.0):
-    """Convolution spectrum of img on s x s probes under the named filter."""
-    return conv_spectrum(img, get_filter(feature, log_sigma), s, s, method)
-
-
 def load_scene(image_kind, size, seed):
     """A procedural test image of the named kind, else the image file."""
     if image_kind in synth.IMAGE_KINDS:
@@ -205,8 +200,9 @@ def main():
 def spectrum(image, feature, log_sigma, sample_size, method,
              save_eigenvectors, out):
     """Convolution eigenvalues of IMAGE: emits index,sigma CSV."""
-    spec = spectrum_of(imgio.load_image(image), sample_size, method, feature,
-                       log_sigma)
+    f = get_filter(feature, log_sigma)
+    spec = conv_spectrum(imgio.load_image(image), f, sample_size, sample_size,
+                         method)
     write_csv(os.path.join(out, "spectrum.csv"), ["index", "sigma"],
               [(i + 1, float(s)) for i, s in enumerate(spec.sigmas)])
     for i in range(min(save_eigenvectors, len(spec.sigmas))):
@@ -226,9 +222,9 @@ def estimate_kernel_cmd(image, kernel_size, sample_size, feature, log_sigma,
 
     Prints the QP's objective, its scale-free KKT residual and its
     iterations, which count working-set changes."""
-    spec = spectrum_of(imgio.load_image(image),
-                       blind.sample_size(kernel_size, sample_size), method,
-                       feature, log_sigma)
+    s = blind.sample_size(kernel_size, sample_size)
+    f = get_filter(feature, log_sigma)
+    spec = conv_spectrum(imgio.load_image(image), f, s, s, method)
     k, _, sol = blind.estimate_kernel(spec, kernel_size, kernel_size)
     imgio.save_kernel_txt(os.path.join(out, "kernel.txt"), k)
     imgio.save_kernel_image(os.path.join(out, "kernel.pgm"), k)
@@ -392,8 +388,9 @@ def repro_fig2(image_kind, size, kernel_size, seed, kernel_sigma, sample_size,
     rows = []
     ratios = {}
     for feat in ("delta", "log"):
-        spec_i = spectrum_of(sharp, sample_size, method, feat)
-        spec_b = spectrum_of(b, sample_size, method, feat)
+        f = get_filter(feat)
+        spec_i = conv_spectrum(sharp, f, sample_size, sample_size, method)
+        spec_b = conv_spectrum(b, f, sample_size, sample_size, method)
         for i in range(sample_size ** 2):
             rows.append((feat, i + 1, float(spec_i.sigmas[i]),
                          float(spec_b.sigmas[i])))
@@ -415,7 +412,7 @@ def repro_fig3(image_kind, size, kernel_size, seed, method, out):
     sharp = load_scene(image_kind, size, seed)
     m = kernel_size
     s = blind.sample_size(m)
-    spec_i = spectrum_of(sharp, s, method)
+    spec_i = conv_spectrum(sharp, make_log(), s, s, method)
     cases = [
         ("gaussian", {"sigma": m / 5.0}),
         ("gaussian", {"sigma": m / 8.0}),
@@ -428,7 +425,7 @@ def repro_fig3(image_kind, size, kernel_size, seed, method, out):
     for idx, (family, params) in enumerate(cases):
         k_true = synth.make_kernel(family, m, params, seed=seed + idx)
         b, _ = synth.synth_blur(sharp, k_true)
-        spec_b = spectrum_of(b, s, method)
+        spec_b = conv_spectrum(b, make_log(), s, s, method)
         k_est, _, qp = blind.estimate_kernel(spec_b, m, m)
         warn_unless_converged(f"case {idx + 1}'s kernel QP", qp)
         err = synth.kernel_error(k_est, k_true)

@@ -39,7 +39,7 @@ def get_filter(name, sigma=1.0):
 def apply_filter(f, img):
     """Full-mode convolution of the taps f with the image, by FFT; a 1x1 f
     scales a copy of the image."""
-    img = as_image(img)
+    f, img = as_image(f), as_image(img)
     if f.shape == (1, 1):
         return f[0, 0] * img
     return _fft_conv_full(f, img)

@@ -2,10 +2,15 @@
 plain-text kernel files."""
 
 import os
+import re
 
 import numpy as np
 
 from .tensorops import as_image, validate_kernel
+
+# The magic, then width, height and maxval, each after whitespace or '#'
+# comment lines, then the single whitespace byte before the raster
+PGM_HEADER = re.compile(rb"P([25])" + rb"(?:\s|#[^\n]*\n)+(\d+)" * 3 + rb"\s")
 
 
 def _pillow(ext):
@@ -40,38 +45,27 @@ def save_image(path, img):
 
 
 def read_pgm(path):
-    """Read a P2 (ASCII) or P5 (binary) portable graymap as floats in [0, 1]."""
+    """Read a P2 (ASCII) or P5 (binary) portable graymap as floats in [0, 1];
+    a malformed file is a ValueError that names it."""
     with open(path, "rb") as fh:
         data = fh.read()
-
-    tokens = []
-    pos = 0
-    while len(tokens) < 4:
-        while pos < len(data) and data[pos:pos + 1].isspace():
-            pos += 1
-        if data[pos:pos + 1] == b"#":
-            while pos < len(data) and data[pos] != 0x0A:
-                pos += 1
-            continue
-        start = pos
-        while pos < len(data) and not data[pos:pos + 1].isspace():
-            pos += 1
-        tokens.append(data[start:pos])
-    magic = tokens[0]
-    if magic not in (b"P2", b"P5"):
-        raise ValueError(f"not a PGM file: magic {magic!r}")
-    width, height, maxval = (int(t) for t in tokens[1:4])
-    if maxval <= 0 or maxval > 65535:
-        raise ValueError(f"bad PGM maxval {maxval}")
-    if magic == b"P5":
-        pos += 1  # single whitespace after maxval
-        dtype = np.dtype(">u2") if maxval > 255 else np.uint8
-        count = width * height
-        arr = np.frombuffer(data, dtype=dtype, count=count, offset=pos)
-    else:
-        arr = np.array(data[pos:].split(), dtype=np.float64)
-        if arr.size != width * height:
-            raise ValueError("PGM pixel count mismatch")
+    try:
+        header = PGM_HEADER.match(data)
+        if header is None:
+            raise ValueError("no P2 or P5 header of width, height and maxval")
+        width, height, maxval = map(int, header.groups()[1:])
+        raster, count = data[header.end():], width * height
+        if not 0 < maxval <= 65535:
+            raise ValueError(f"maxval {maxval} is not in 1..65535")
+        if header[1] == b"5":
+            dtype = np.dtype(">u2" if maxval > 255 else "u1")
+            arr = np.frombuffer(raster[:count * dtype.itemsize], dtype)
+        else:
+            arr = np.array(raster.split(), dtype=np.float64)
+        if arr.size != count:
+            raise ValueError(f"{arr.size} pixels, not width x height = {count}")
+    except ValueError as exc:
+        raise ValueError(f"malformed PGM file {path!r}: {exc}") from None
     return arr.astype(np.float64).reshape(height, width) / maxval
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .features import apply_filter
-from .tensorops import BLOCK_ROWS, as_image, toeplitz_gram, toeplitz_row_blocks
+from .tensorops import BLOCK_ROWS, toeplitz_gram, toeplitz_row_blocks
 # Not used here: the traced benchmark run (perfbench/tracing.py) wraps this
 # name and requires it to exist.
 from .tensorops import toeplitz  # noqa: F401
@@ -114,11 +114,8 @@ def conv_spectrum(img, f, s1, s2, method="gram"):
     so both methods return the same vectors where the eigenvalues are well
     separated.
     """
-    img = as_image(img)
     if s1 < 1 or s2 < 1:
         raise ValueError("sampling sizes must be >= 1")
-    if not np.any(img):
-        raise ValueError("degenerate input: zero image has no spectrum")
     feat = apply_filter(f, img)
     if not np.any(feat):
         raise ValueError("degenerate input: filtered image is identically zero")

@@ -180,7 +180,6 @@ def tv_deconv(b, k, cfg=None, assume_full=True, state=None):
     fuy, fuv, ug = (state.pad_dual.copy(), state.data_dual.copy(),
                     state.grad_dual.copy())
     # work buffers: in the loop only the FFTs allocate
-    padded = np.zeros(grid)
     rhs = np.empty(shape)
     gsum, gi, g_buf = np.empty((3, 2, n1, n2))
     tmp, fv_buf, fy_buf, fky_buf = np.empty((4,) + fk.shape, dtype=complex)
@@ -194,8 +193,7 @@ def tv_deconv(b, k, cfg=None, assume_full=True, state=None):
         frhs = rfft2(rhs, shape)
         frhs *= i_inv
         new = irfft2(frhs, shape)
-        padded[:n1, :n2] = new
-        fpad = rfft2(padded, grid)
+        fpad = rfft2(new, grid)
         # v: (2 mask + mu) v = 2 mask b + mu (K*y - uv), pointwise
         fv = np.subtract(fky, fuv, out=fv_buf)
         if assume_full:

@@ -1,6 +1,7 @@
 import dataclasses
 import os
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -359,6 +360,59 @@ def test_validation_exit_code(runner, tmp_path):
     assert r.exit_code == 2
 
 
+@pytest.mark.parametrize("data, problem", [
+    (b"P5\n48 48\n255\n\x01\x02", "2 pixels, not width x height = 2304"),
+    (b"P2\n2 2\n255\n1 2 3\n", "3 pixels, not width x height = 4"),
+    (b"P5\n48 ", "no P2 or P5 header")],
+    ids=["short-p5-raster", "few-p2-pixels", "truncated-header"])
+def test_malformed_pgm_is_named(runner, tmp_path, data, problem):
+    bad = tmp_path / "bad.pgm"
+    bad.write_bytes(data)
+    r = runner.invoke(main, ["spectrum", str(bad), "--sample-size", "2",
+                             "-o", str(tmp_path)])
+    assert r.exit_code == 2, r.output
+    assert f"error: malformed PGM file {str(bad)!r}: {problem}" in r.stderr
+
+
+def test_png_without_pillow_is_a_validation_error(runner, tmp_path,
+                                                  monkeypatch):
+    # hide Pillow, so that this runs the same where it is installed
+    monkeypatch.setitem(sys.modules, "PIL", None)
+    png = tmp_path / "a.png"
+    png.write_bytes(b"")
+    r = runner.invoke(main, ["spectrum", str(png), "-o", str(tmp_path)])
+    assert r.exit_code == 2, r.output
+    assert "unsupported image format '.png' (install Pillow" in r.stderr
+
+
+def test_synth_image_file_is_the_scene(runner, tmp_path):
+    scene = make_test_image("bars", 24, seed=4)
+    save_image(tmp_path / "scene.pgm", scene)
+    r = runner.invoke(main, ["synth", "--image", str(tmp_path / "scene.pgm"),
+                             "--kernel-size", "3", "-o", str(tmp_path / "c")])
+    assert r.exit_code == 0, r.output
+    sharp = np.load(tmp_path / "c" / "sharp.npy")
+    # the file's 8-bit pixels, not a procedural image of the default size
+    assert np.array_equal(sharp, load_image(tmp_path / "scene.pgm"))
+    assert sharp.shape == (24, 24)
+    assert np.load(tmp_path / "c" / "blurry.npy").shape == (26, 26)
+
+
+def test_config_comments_and_blank_lines_are_skipped(runner, blurry_pgm,
+                                                     tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("# spectrum on 3 x 3 probes\n\n  \nsample-size=3\n"
+                   "  # method=svd\n")
+    r = runner.invoke(main, ["spectrum", blurry_pgm, "--config", str(cfg),
+                             "-o", str(tmp_path / "a")])
+    assert r.exit_code == 0, r.output
+    r = runner.invoke(main, ["spectrum", blurry_pgm, "--sample-size", "3",
+                             "-o", str(tmp_path / "b")])
+    assert r.exit_code == 0, r.output
+    assert ((tmp_path / "a" / "spectrum.csv").read_bytes()
+            == (tmp_path / "b" / "spectrum.csv").read_bytes())
+
+
 def test_missing_file_exit_nonzero(runner):
     r = runner.invoke(main, ["spectrum", "/no/such/file.pgm"])
     assert r.exit_code != 0
@@ -547,12 +601,16 @@ def test_case_cfg_reproduces_the_case(runner, tmp_path):
                 == (tmp_path / "b" / name).read_bytes()), name
 
 
-def test_readme_lists_every_subcommand():
-    # the README's command table names exactly the registered subcommands
+def read_readme():
     with open(os.path.join(os.path.dirname(__file__), os.pardir,
                            "README.md")) as fh:
-        readme = fh.read()
-    section = readme.split("## Command-line interface")[1].split("\n#")[0]
+        return fh.read()
+
+
+def test_readme_lists_every_subcommand():
+    # the README's command table names exactly the registered subcommands
+    section = read_readme().split("## Command-line interface")[1]
+    section = section.split("\n#")[0]
     listed = set()
     for line in section.splitlines():
         if line.startswith("| `"):
@@ -561,3 +619,18 @@ def test_readme_lists_every_subcommand():
     registered = set(main.commands) - {"repro"}
     registered |= {f"repro {name}" for name in main.commands["repro"].commands}
     assert listed == registered
+
+
+def test_readme_states_the_library_defaults():
+    # the CLI reads these defaults from the library; the README repeats them
+    text = " ".join(read_readme().split())
+    found = re.search(r"`TvSolverConfig` \(λ (\S+), (\d+) iterations, "
+                      r"tolerance (\S+)\) and `DeblurConfig` \(`(\w+)`, "
+                      r"(\d+) outer iterations\)", text)
+    assert found, "the README no longer states the CLI defaults"
+    lam, max_inner, tol, method, max_outer = found.groups()
+    assert ((float(lam), int(max_inner), float(tol))
+            == (TvSolverConfig.lam, TvSolverConfig.max_inner,
+                TvSolverConfig.tol))
+    assert ((method, int(max_outer))
+            == (DeblurConfig.spectrum_method, DeblurConfig.max_outer))

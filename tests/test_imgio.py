@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 
@@ -42,6 +44,35 @@ class TestPgm:
         with pytest.raises(ValueError):
             read_pgm(p)
 
+    @pytest.mark.parametrize("data, problem", [
+        (b"P5\n4 ", "no P2 or P5 header"),
+        (b"P5\n2 2\n255", "no P2 or P5 header"),
+        (b"P2\n# comment without its newline", "no P2 or P5 header"),
+        (b"P5\n4 4\n255\n\x01\x02", "2 pixels, not width x height = 16"),
+        (b"P5\n2 1\n65535\n\x00\x01\x02", "buffer size"),
+        (b"P2\n2 2\n255\n1 2 3\n", "3 pixels, not width x height = 4"),
+        (b"P2\n1 1\n255\nx\n", "could not convert"),
+        (b"P5\n1 1\n0\n\x00", "maxval 0 is not in 1..65535"),
+        (b"P5\n1 1\n70000\n\x00\x00", "maxval 70000 is not in 1..65535"),
+    ], ids=["truncated-header", "no-raster-separator", "open-comment",
+            "short-p5", "odd-16bit-raster", "few-p2", "not-a-number",
+            "maxval-0", "maxval-70000"])
+    def test_malformed_file_is_named(self, tmp_path, data, problem):
+        p = tmp_path / "m.pgm"
+        p.write_bytes(data)
+        with pytest.raises(ValueError) as err:
+            read_pgm(p)
+        assert str(err.value).startswith(f"malformed PGM file {p!r}: ")
+        assert problem in str(err.value)
+
+    def test_header_grammar(self, tmp_path):
+        # comment lines may sit between any two header fields; one
+        # whitespace byte, here a space, ends the header, and a P5 raster
+        # may start with a whitespace byte of its own
+        p = tmp_path / "g.pgm"
+        p.write_bytes(b"P5# c\n\t3\r\n# two\n#\n1 255 \x20\n\x0a")
+        assert np.array_equal(read_pgm(p) * 255.0, [[32, 10, 10]])
+
     def test_write_requires_uint8(self, tmp_path):
         with pytest.raises(ValueError):
             write_pgm(tmp_path / "f.pgm", np.zeros((2, 2)))
@@ -60,6 +91,27 @@ class TestImageRoundTrip:
         p = tmp_path / "clip.pgm"
         save_image(p, np.array([[-0.5, 1.5]]))
         assert np.allclose(load_image(p), [[0.0, 1.0]])
+
+
+class TestWithoutPillow:
+    # hide Pillow, so that these run the same where it is installed
+    @pytest.fixture(autouse=True)
+    def no_pillow(self, monkeypatch):
+        monkeypatch.setitem(sys.modules, "PIL", None)
+
+    def test_load(self, tmp_path):
+        p = tmp_path / "a.png"
+        p.write_bytes(b"")
+        with pytest.raises(ValueError, match=r"unsupported image format "
+                           r"'\.png' \(install Pillow"):
+            load_image(p)
+
+    def test_save(self, tmp_path):
+        p = tmp_path / "a.PNG"
+        with pytest.raises(ValueError, match="unsupported image format "
+                           r"'\.png'"):
+            save_image(p, np.zeros((2, 2)))
+        assert not p.exists()
 
 
 class TestKernelFiles:

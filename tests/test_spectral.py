@@ -104,12 +104,26 @@ class TestConvSpectrum:
         assert spec.sigma_max / spec.sigma_min >= 1.0
 
     def test_zero_image_rejected(self):
-        with pytest.raises(ValueError):
-            conv_spectrum(np.zeros((8, 8)), DELTA, 2, 2)
+        # every filter maps a zero image to zero, so the filtered-image
+        # check is the only one needed
+        for f in (DELTA, make_log()):
+            with pytest.raises(ValueError, match="degenerate input"):
+                conv_spectrum(np.zeros((8, 8)), f, 2, 2)
 
     def test_zero_filtered_image_rejected(self):
         with pytest.raises(ValueError):
             conv_spectrum(np.ones((8, 8)), np.zeros((3, 3)), 2, 2)
+
+    def test_taps_are_coerced_like_images(self, image):
+        assert np.array_equal(conv_spectrum(image, [[1.0]], 3, 3).sigmas,
+                              conv_spectrum(image, DELTA, 3, 3).sigmas)
+
+    @pytest.mark.parametrize("taps, message", [
+        (np.ones(3) / 3.0, "2D array"), (np.full((3, 3), np.nan), "NaN")],
+        ids=["1d", "nan"])
+    def test_bad_taps_rejected(self, image, taps, message):
+        with pytest.raises(ValueError, match=message):
+            conv_spectrum(image, taps, 3, 3)
 
     def test_missing_sizes_rejected(self, image):
         with pytest.raises(TypeError):
