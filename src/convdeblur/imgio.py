@@ -46,7 +46,8 @@ def save_image(path, img):
 
 def read_pgm(path):
     """Read a P2 (ASCII) or P5 (binary) portable graymap as floats in [0, 1];
-    a malformed file is a ValueError that names it."""
+    a malformed file, or a pixel value other than an integer in 0..maxval,
+    is a ValueError that names it."""
     with open(path, "rb") as fh:
         data = fh.read()
     try:
@@ -64,6 +65,10 @@ def read_pgm(path):
             arr = np.array(raster.split(), dtype=np.float64)
         if arr.size != count:
             raise ValueError(f"{arr.size} pixels, not width x height = {count}")
+        # a P2 pixel is digits only: no sign, point or exponent
+        if np.any(arr > maxval) or (header[1] == b"2"
+                                    and re.search(rb"[^\d\s]", raster)):
+            raise ValueError(f"pixel values are not integers in 0..{maxval}")
     except ValueError as exc:
         raise ValueError(f"malformed PGM file {path!r}: {exc}") from None
     return arr.astype(np.float64).reshape(height, width) / maxval

@@ -8,10 +8,13 @@ observation (B.shape == I.shape).
 
 Both data models are solved by one ADMM on exactly this objective (Almeida &
 Figueiredo, "Deconvolving images with unknown boundaries using ADMM", IEEE
-TIP 2013). The latent is zero-embedded in the full-convolution grid, where
-the periodic convolution equals the full one, and the observation becomes a
-0/1 mask on that grid; TV stays on I's own grid. Every subproblem is then
-diagonal in the FFT or pointwise.
+TIP 2013). The latent is zero-embedded in the full-convolution grid padded
+to 5-smooth sizes (`fast_len`), where the periodic convolution equals the
+full one, and the observation becomes a 0/1 mask on that grid. The mask is
+1 on B's window and on the added band, where B is taken as zero: K*pad(I)
+is exactly zero there, so the band changes the iterates but not the
+minimizer. TV stays on I's own grid. Every subproblem is then diagonal in
+the FFT or pointwise.
 
 The grid variables (y = pad(I), K*y and their duals) are held as rfft2
 half-spectra, where the y-update and the dual updates are pointwise. With
@@ -27,7 +30,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensorops import Observation, as_image, irfft2, rfft2, validate_kernel
+from .tensorops import (Observation, as_image, fast_len, irfft2, rfft2,
+                        validate_kernel)
 
 # ADMM penalty of the y = pad(I) and g = grad(I) splits
 ADMM_PENALTY = 0.1
@@ -55,10 +59,11 @@ class TvSolverConfig:
 @dataclass(frozen=True)
 class AdmmState:
     """Split and scaled dual variables of the solver. All but the gradient
-    pair live on the full-convolution grid and are held as its rfft2
-    half-spectra; the gradient pair is real, on I's grid. grid is that
-    grid's shape, which the half-spectra alone do not fix: widths 2j and
-    2j + 1 both give j + 1 columns."""
+    pair live on the full-convolution grid padded to 5-smooth sizes, with
+    B observed as zero on the added band, and are held as its rfft2
+    half-spectra; the gradient pair is real, on I's grid. grid is the
+    padded grid's shape, which the half-spectra alone do not fix: widths 2j
+    and 2j + 1 both give j + 1 columns."""
     pad: np.ndarray         # y = pad(I)
     blur: np.ndarray        # K*y for the kernel of the call that returned it
     grad: np.ndarray        # g = grad(I), shape (2, n1, n2)
@@ -130,15 +135,18 @@ def tv_deconv(b, k, cfg=None, assume_full=True, state=None):
     Without a state it starts from Observation.start, b's central window.
 
     With lam = 0, full-convolution data and cfg.tol > 0 the inverse filter
-    is returned directly, without a state. It minimizes the data term only
-    for noise-free data; with noise the least-squares minimizer is another
-    image, whose data term can be under half of the inverse filter's.
+    on the padded grid is returned directly, without a state. It minimizes
+    the data term only for noise-free data; with noise the least-squares
+    minimizer is another image, whose data term can be under half of the
+    inverse filter's.
     """
     k = validate_kernel(k)
     cfg = cfg or TvSolverConfig()
     obs = Observation(b, k.shape, assume_full)
-    b, shape, grid = obs.b, obs.shape, obs.grid
+    b, shape = obs.b, obs.shape
     n1, n2 = shape
+    # the FFT grid of every grid variable (see the module docstring)
+    grid = tuple(fast_len(n) for n in obs.grid)
     fk = rfft2(k, grid)   # k zero-embedded at the grid's top left
 
     if cfg.lam == 0.0 and assume_full and cfg.tol > 0:
@@ -158,9 +166,11 @@ def tv_deconv(b, k, cfg=None, assume_full=True, state=None):
         # pointwise in Fourier space too
         fb2 = rfft2(b, grid) * (2.0 / (2.0 + mu))
     else:
-        # 2 mask b and 2 mask + mu, mask being 0 on the frame only
-        b2 = 2.0 * obs.embedded
-        v_den = np.where(obs.frame, mu, mu + 2.0)
+        # 2 mask b and 2 mask + mu, mask being 0 on the frame only: the
+        # band past the full-convolution grid is observed
+        band = [(0, n - g) for n, g in zip(grid, obs.grid)]
+        b2 = np.pad(2.0 * obs.embedded, band)
+        v_den = np.where(np.pad(obs.frame, band), mu, mu + 2.0)
     # y-update weights of K'(v + uv) and pad(I) - uy
     y_den = mu * np.abs(fk) ** 2 + rho
     wv = mu * np.conj(fk) / y_den

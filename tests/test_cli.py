@@ -363,8 +363,15 @@ def test_validation_exit_code(runner, tmp_path):
 @pytest.mark.parametrize("data, problem", [
     (b"P5\n48 48\n255\n\x01\x02", "2 pixels, not width x height = 2304"),
     (b"P2\n2 2\n255\n1 2 3\n", "3 pixels, not width x height = 4"),
-    (b"P5\n48 ", "no P2 or P5 header")],
-    ids=["short-p5-raster", "few-p2-pixels", "truncated-header"])
+    (b"P5\n48 ", "no P2 or P5 header"),
+    (b"P2\n2 1\n255\n300 4\n", "pixel values are not integers in 0..255"),
+    (b"P2\n2 1\n255\n300 -4\n", "pixel values are not integers in 0..255"),
+    (b"P2\n1 1\n255\n1.5\n", "pixel values are not integers in 0..255"),
+    (b"P5\n1 1\n100\n\xff", "pixel values are not integers in 0..100"),
+    (b"P5\n1 1\n1000\n\x03\xe9", "pixel values are not integers in 0..1000")],
+    ids=["short-p5-raster", "few-p2-pixels", "truncated-header",
+         "p2-above-maxval", "p2-negative", "p2-fraction",
+         "p5-8bit-above-maxval", "p5-16bit-above-maxval"])
 def test_malformed_pgm_is_named(runner, tmp_path, data, problem):
     bad = tmp_path / "bad.pgm"
     bad.write_bytes(data)

@@ -7,7 +7,7 @@ from scipy import fft as sfft
 from convdeblur import tv
 from convdeblur.metrics import psnr
 from convdeblur.synth import make_kernel, make_test_image
-from convdeblur.tensorops import central_window, conv2d_full
+from convdeblur.tensorops import central_window, conv2d_full, fast_len
 from convdeblur.tv import TvSolverConfig, total_variation, tv_deconv
 
 
@@ -20,25 +20,37 @@ def roll_grad_adjoint(g):
     return (np.roll(g[0], 1, axis=1) - g[0]) + (np.roll(g[1], 1, axis=0) - g[1])
 
 
-def reference_tv_deconv(b, k, cfg, assume_full=True, state=None):
+def fast_grid(b, k, assume_full):
+    """b's full-convolution grid padded to 5-smooth sizes, by scipy."""
+    full = b.shape if assume_full else np.add(b.shape, k.shape) - 1
+    return tuple(sfft.next_fast_len(int(n), real=True) for n in full)
+
+
+def reference_tv_deconv(b, k, cfg, assume_full=True, state=None, grid=None):
     """Reference: tv_deconv's masked ADMM with every grid variable in real
-    space (six transforms per iteration), for lam > 0. Its state is the
-    tuple (y, K*y, g, uy, uv, ug) of real arrays; without one, it starts
-    from b's central window. Returns (image, iterations, converged, state).
+    space (six transforms per iteration), for lam > 0, on the
+    full-convolution grid or on a given larger grid, whose added band is
+    observed as zeros. Its state is the tuple (y, K*y, g, uy, uv, ug) of
+    real arrays; without one, it starts from b's central window. Returns
+    (image, iterations, converged, state).
     """
     m1, m2 = k.shape
     if assume_full:
-        grid, shape = b.shape, (b.shape[0] - m1 + 1, b.shape[1] - m2 + 1)
+        full, shape = b.shape, (b.shape[0] - m1 + 1, b.shape[1] - m2 + 1)
     else:
-        grid, shape = (b.shape[0] + m1 - 1, b.shape[1] + m2 - 1), b.shape
+        full, shape = (b.shape[0] + m1 - 1, b.shape[1] + m2 - 1), b.shape
+    grid = grid or full
     n1, n2 = shape
     fk = sfft.rfft2(k, s=grid)
     rho, mu = tv.ADMM_PENALTY, tv.DATA_PENALTY
-    window = central_window(grid, b.shape)
+    window = central_window(full, b.shape)
+    # observed: b's window and the band past the full-convolution grid
+    mask = np.ones(grid)
+    mask[:full[0], :full[1]] = 0.0
+    mask[window] = 1.0
     b2 = np.zeros(grid)
     b2[window] = 2.0 * b
-    v_den = np.full(grid, mu)
-    v_den[window] += 2.0
+    v_den = mu + 2.0 * mask
     fk_adj = mu * np.conj(fk)
     y_den = mu * np.abs(fk) ** 2 + rho
     lap = ((2.0 - 2.0 * np.cos(2.0 * np.pi * np.arange(n1) / n1))[:, None]
@@ -82,12 +94,16 @@ def reference_tv_deconv(b, k, cfg, assume_full=True, state=None):
     return img, it, converged, (y, ky, g, uy, uv, ug)
 
 
-def blurred_pair(assume_full):
-    """A polygon image's blur, full or cropped to the image size, with its
-    kernel and a second kernel of the same size."""
-    img = make_test_image("polygons", 32, seed=4)
+def blurred_pair(assume_full, size=32, noise=0.0):
+    """A polygon image's blur plus noise, full or cropped to the image size,
+    with its kernel and a second kernel of the same size. The
+    full-convolution grid is 5-smooth at size 32 and padded from 35 to 36
+    at size 31."""
+    img = make_test_image("polygons", size, seed=4)
     k = make_kernel("gaussian", 5, {"sigma": 1.0})
     b = conv2d_full(img, k)
+    if noise:
+        b += noise * np.random.default_rng(0).standard_normal(b.shape)
     if not assume_full:
         b = b[2:-2, 2:-2]
     return b, k, make_kernel("curve", 5, {}, seed=1)
@@ -139,13 +155,15 @@ class TestHelpers:
 
 class TestTvDeconv:
     def test_exact_inverse_without_tv(self):
-        # lam=0 and a full-convolution observation: restoration is exact
-        img = make_test_image("polygons", 32, seed=1)
-        k = make_kernel("gaussian", 5, {"sigma": 1.2})
-        b = conv2d_full(img, k)
-        res = tv_deconv(b, k, TvSolverConfig(lam=0.0, max_inner=50))
-        assert res.image.shape == img.shape
-        assert np.max(np.abs(res.image - img)) < 1e-8
+        # lam=0 and a full-convolution observation: restoration is exact,
+        # also on a grid padded past the full convolution (35 -> 36)
+        for size in (32, 31):
+            img = make_test_image("polygons", size, seed=1)
+            k = make_kernel("gaussian", 5, {"sigma": 1.2})
+            b = conv2d_full(img, k)
+            res = tv_deconv(b, k, TvSolverConfig(lam=0.0, max_inner=50))
+            assert res.image.shape == img.shape
+            assert np.max(np.abs(res.image - img)) < 1e-8
 
     def test_zero_tol_runs_admm_without_tv(self):
         # tol = 0 runs all max_inner iterations and returns a state to
@@ -216,41 +234,65 @@ class TestTvDeconv:
         with pytest.raises(ValueError):
             tv_deconv(b[2:-2, 2:-2], k, cfg, assume_full=assume_full,
                       state=first.state)
-        # a kernel one column wider: for cropped data the grid is 36 x 37 in
-        # place of 36 x 36, with half-spectra of the same 19 columns
+        # a kernel one column wider: for cropped data 20 columns wide the
+        # grid is 36 x 25 in place of 36 x 24, both 5-smooth and so not
+        # padded, with half-spectra of the same 13 columns
+        narrow = b[:, :20]
+        state = tv_deconv(narrow, k, cfg, assume_full=assume_full).state
         with pytest.raises(ValueError, match="solver state"):
-            tv_deconv(b, np.full((5, 6), 1.0 / 30), cfg,
-                      assume_full=assume_full, state=first.state)
+            tv_deconv(narrow, np.full((5, 6), 1.0 / 30), cfg,
+                      assume_full=assume_full, state=state)
 
-    @pytest.mark.parametrize("case", ["cold", "resume", "tol"])
+    @pytest.mark.parametrize("case, size", [
+        ("cold", 32), ("resume", 32), ("tol", 32),
+        ("cold", 31), ("resume", 31), ("tol", 31)],
+        ids=["cold", "resume", "tol", "cold-31px", "resume-31px", "tol-31px"])
     @pytest.mark.parametrize("assume_full", [True, False],
                              ids=["full", "cropped"])
-    def test_matches_real_space_reference(self, assume_full, case):
+    def test_matches_real_space_reference(self, assume_full, case, size):
         # the loop over half-spectra is the real-space loop up to rounding:
         # from a cold start, resuming a kernel-A state with kernel B as
-        # blind_deblur does, and stopping at a tolerance
-        b, k, k2 = blurred_pair(assume_full)
-        cfg = TvSolverConfig(lam=0.0015, max_inner=200,
-                             tol=1e-4 if case == "tol" else 0.0)
+        # blind_deblur does, and stopping at a tolerance; at size 31 both
+        # run on the padded grid
+        b, k, k2 = blurred_pair(assume_full, size)
+        grid = fast_grid(b, k, assume_full)
+        # the tol cases converge in 175 to 201 iterations
+        stop = case == "tol"
+        cfg = TvSolverConfig(lam=0.0015, max_inner=400 if stop else 200,
+                             tol=1e-4 if stop else 0.0)
         state = ref_state = None
         if case == "resume":
             state = tv_deconv(b, k, cfg, assume_full=assume_full).state
-            ref_state = reference_tv_deconv(b, k, cfg, assume_full)[3]
+            ref_state = reference_tv_deconv(b, k, cfg, assume_full,
+                                            grid=grid)[3]
             k = k2
         res = tv_deconv(b, k, cfg, assume_full=assume_full, state=state)
         img, iters, converged, ref_state = reference_tv_deconv(
-            b, k, cfg, assume_full, ref_state)
+            b, k, cfg, assume_full, ref_state, grid)
         assert np.linalg.norm(res.image - img) <= 1e-12 * np.linalg.norm(img)
         assert (res.iterations, res.converged) == (iters, converged)
         assert converged == (case == "tol")
         # the state holds the reference's grid variables as half-spectra
-        grid = ref_state[0].shape
+        assert res.state.grid == grid
         for name, ref in zip(("pad", "blur", "grad", "pad_dual", "data_dual",
                               "grad_dual"), ref_state):
             got = getattr(res.state, name)
             if name not in ("grad", "grad_dual"):
                 got = sfft.irfft2(got, s=grid)
             assert np.abs(got - ref).max() <= 1e-12 * np.abs(img).max(), name
+
+    @pytest.mark.parametrize("assume_full", [True, False],
+                             ids=["full", "cropped"])
+    def test_padding_keeps_the_minimizer(self, assume_full):
+        # on noisy data, the iterates on the grid padded from 35 to 36 and on
+        # the unpadded grid differ, but both converge to one minimizer
+        b, k, _ = blurred_pair(assume_full, 31, noise=0.01)
+        cfg = TvSolverConfig(lam=0.0015, max_inner=20000, tol=1e-10)
+        res = tv_deconv(b, k, cfg, assume_full=assume_full)
+        img, _, converged, _ = reference_tv_deconv(b, k, cfg, assume_full)
+        assert res.converged and converged
+        assert res.state.grid == (36, 36)
+        assert np.linalg.norm(res.image - img) <= 1e-9 * np.linalg.norm(img)
 
     @pytest.mark.parametrize("assume_full", [True, False],
                              ids=["full", "cropped"])
@@ -270,8 +312,8 @@ class TestTvDeconv:
                                       grid_per_iter):
         # two transforms on I's grid and two on the full grid per iteration,
         # plus a round trip for the cropped mask; a slide back to real-space
-        # grid variables shows as a count, on any machine
-        b, k, _ = blurred_pair(assume_full)
+        # grid variables, or off 5-smooth grid sizes, shows on any machine
+        b, k, _ = blurred_pair(assume_full, 31)
         shapes = []   # the grid of each transform, its s
         for name in ("rfft2", "irfft2"):
             def counted(x, s, _fn=getattr(tv, name)):
@@ -285,6 +327,8 @@ class TestTvDeconv:
                             assume_full=assume_full)
             latent = sum(s == res.image.shape for s in shapes)
             counts.append((latent, len(shapes) - latent))
+            assert all(fast_len(n) == n for s in shapes
+                       if s != res.image.shape for n in s)
         per_iter = tuple((c1 - c0) / 10 for c0, c1 in zip(*counts))
         assert per_iter == (2, grid_per_iter)
 
