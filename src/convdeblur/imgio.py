@@ -45,9 +45,12 @@ def save_image(path, img):
 
 
 def read_pgm(path):
-    """Read a P2 (ASCII) or P5 (binary) portable graymap as floats in [0, 1];
-    a malformed file, or a pixel value other than an integer in 0..maxval,
-    is a ValueError that names it."""
+    """Read a P2 (ASCII) or P5 (binary) portable graymap as floats in [0, 1].
+
+    The raster must hold exactly width x height pixels in either format:
+    data past them, such as a second image of a P5 stream, is rejected. A
+    malformed file, or a pixel value other than an integer in 0..maxval, is
+    a ValueError that names it."""
     with open(path, "rb") as fh:
         data = fh.read()
     try:
@@ -60,7 +63,7 @@ def read_pgm(path):
             raise ValueError(f"maxval {maxval} is not in 1..65535")
         if header[1] == b"5":
             dtype = np.dtype(">u2" if maxval > 255 else "u1")
-            arr = np.frombuffer(raster[:count * dtype.itemsize], dtype)
+            arr = np.frombuffer(raster, dtype)
         else:
             arr = np.array(raster.split(), dtype=np.float64)
         if arr.size != count:

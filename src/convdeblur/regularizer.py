@@ -26,25 +26,30 @@ class RegularizerHessian:
 def build_hessian(spec, m1, m2):
     """Assemble H = sum_i A(kappa_i)^T A(kappa_i) / sigma_i^2.
 
-    Near-zero singular values are clamped to SIGMA_CLAMP_REL * sigma_max so
-    H stays finite; the clamped directions are the ones the data most
-    strongly forbids, and the count is reported on the result.
-
     Entry ((u,v),(u',v')) of A(kappa_i)^T A(kappa_i) is the autocorrelation
     of kappa_i at lag (u-u', v-v'), so H is the lag gather of the 2-D lag
     sums of P = V diag(1/sigma^2) V^T, V holding the vectorized kappa_i as
-    columns: one matrix product instead of s1*s2 Gram matrices.
+    columns. P is the inverse Gram matrix, taken from triangular factors
+    of the spectrum's matrix without its eigenvectors.
+
+    Near-zero singular values are clamped to SIGMA_CLAMP_REL * sigma_max so
+    H stays finite; the clamped directions are the ones the data most
+    strongly forbids, and the count is reported on the result. Where a
+    sigma or a factor's pivot falls below that floor, or a factorization
+    fails, P is the eigenvector sum with the sigmas clamped.
     """
     if m1 < 1 or m2 < 1:
         raise ValueError("kernel sizes must be >= 1")
     s1, s2 = spec.s1, spec.s2
     n = s1 * s2
-    if len(spec.sigmas) != n or spec.vectors.shape != (n, s1, s2):
+    if len(spec.sigmas) != n or spec.matrix.shape != (n, n):
         raise ValueError("incomplete spectrum: all s1*s2 pairs are required")
     floor = SIGMA_CLAMP_REL * spec.sigma_max
     clamped = int(np.count_nonzero(spec.sigmas < floor))
-    v = spec.vectors.reshape(n, n)
-    p = (v.T / np.maximum(spec.sigmas, floor) ** 2) @ v
+    p = None if clamped else spec.gram_inverse(floor)
+    if p is None:
+        v = spec.vectors.reshape(n, n)
+        p = (v.T / np.maximum(spec.sigmas, floor) ** 2) @ v
     # lag sums: entry (d1, d2) adds P[(a,b),(a',b')] over a-a'=d1, b-b'=d2
     a1, a2 = np.divmod(np.arange(n), s2)
     lag = ((a1[:, None] - a1[None, :] + s1 - 1) * (2 * s2 - 1)

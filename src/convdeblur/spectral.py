@@ -1,15 +1,19 @@
 """Convolution eigenvalues/eigenvectors of an image.
 
 The convolution eigenvalues of an image under a feature filter are the
-singular values of the Toeplitz operator of the filtered image acting on
+singular values of the Toeplitz operator A of the filtered image acting on
 s1 x s2 probes; the eigenvectors are the right singular vectors reshaped.
-Neither method forms that operator: 'svd' streams its rows through a QR,
-'gram' diagonalizes its Gram matrix, which equals its own 180-degree
-rotation, as two half-size blocks.
+Neither method forms that operator: 'svd' streams its rows through a QR into
+a triangular R with R^T R = A^T A, 'gram' forms the Gram matrix A^T A, which
+equals its own 180-degree rotation, and splits it into two half-size blocks.
+Both take eigenvalues only. The spectrum keeps that matrix, from which the
+eigenvectors are computed on first use and the inverse Gram matrix, which
+the kernel regularizer needs, from triangular factors.
 """
 
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -30,7 +34,8 @@ class ConvSpectrum:
     s1: int
     s2: int
     sigmas: np.ndarray      # (s1*s2,), nonincreasing, all > 0 for nonzero input
-    vectors: np.ndarray     # (s1*s2, s1, s2), unit Frobenius norm, orthonormal
+    method: str             # 'gram' or 'svd'
+    matrix: np.ndarray      # 'gram': G = A^T A; 'svd': triangular R, R^T R = G
 
     @property
     def sigma_max(self):
@@ -40,6 +45,41 @@ class ConvSpectrum:
     def sigma_min(self):
         """Sharpness: large values mean a sharp image."""
         return float(self.sigmas[-1])
+
+    @cached_property
+    def vectors(self):
+        """(s1*s2, s1, s2) eigenvectors in the order of sigmas: unit
+        Frobenius norm, orthonormal, signs fixed by _fix_signs. Computed on
+        first access."""
+        if self.method == "svd":
+            vecs = np.linalg.svd(self.matrix)[2]
+        else:
+            (w_sym, y), (w_anti, z) = map(np.linalg.eigh,
+                                          _half_blocks(self.matrix))
+            order = np.argsort(np.concatenate((w_sym, w_anti)))[::-1]
+            vecs = _from_half_basis(y, z)[:, order].T
+        return _fix_signs(vecs).reshape(-1, self.s1, self.s2)
+
+    def gram_inverse(self, floor):
+        """G^-1 = sum_i v_i v_i^T / sigma_i^2 without the eigenvectors, or
+        None where a block is not positive definite or a triangular factor
+        has a pivot below floor.
+
+        Each block of G ('svd': G itself; 'gram': its two half blocks) is
+        U^T U, U = R or the block's upper Cholesky factor, whose pivots are
+        at least the block's sigma_min. The block's inverse is W W^T,
+        W = U^-1: positive semidefinite by construction.
+        """
+        try:
+            factors = ([self.matrix] if self.method == "svd" else
+                       [np.linalg.cholesky(b, upper=True)
+                        for b in _half_blocks(self.matrix)])
+        except np.linalg.LinAlgError:       # a block is not positive definite
+            return None
+        if any(np.any(np.abs(np.diagonal(u)) < floor) for u in factors):
+            return None
+        inv = [w @ w.T for w in map(np.linalg.inv, factors)]
+        return inv[0] if self.method == "svd" else _from_half_blocks(*inv)
 
 
 def _toeplitz_r(x, k1, k2):
@@ -59,32 +99,52 @@ def _toeplitz_r(x, k1, k2):
     return r
 
 
-def _centrosymmetric_eigh(g):
-    """np.linalg.eigh of a symmetric, centrosymmetric n x n matrix g (equal
-    to g[::-1, ::-1]) by two eigensolves of about half its size.
+def _half_blocks(g):
+    """The two half-size blocks of a symmetric, centrosymmetric n x n matrix
+    g (equal to g[::-1, ::-1]): g = Q diag(sym, anti) Q^T.
 
     Index i pairs with n-1-i, the 180-degree rotation of the probe. The
-    eigenvectors are symmetric or antisymmetric under the pairing
-    (Cantoni & Butler, Linear Algebra Appl. 13, 1976): the symmetric ones
-    solve G_ll + G_lh on the first (n+1)//2 indices, the middle one (odd n)
-    scaled by sqrt(2); the antisymmetric ones solve G_ll - G_lh on the
-    first n//2. Returns the eigenvalues, unsorted, and the unit eigenvectors
-    as columns.
+    columns of the orthogonal Q are symmetric or antisymmetric under the
+    pairing (Cantoni & Butler, Linear Algebra Appl. 13, 1976): sym is
+    G_ll + G_lh on the first (n+1)//2 indices, the middle one (odd n)
+    scaled by sqrt(2); anti is G_ll - G_lh on the first n//2.
+    _from_half_basis and _from_half_blocks map block results back.
     """
     n = g.shape[0]
     h, hs = n // 2, (n + 1) // 2
     mirrored = g[:hs, ::-1]
     d = np.ones(hs)
     d[h:] = np.sqrt(0.5)        # the middle index, if n is odd
-    w_sym, y = np.linalg.eigh((g[:hs, :hs] + mirrored[:, :hs])
-                              * d * d[:, None])
-    w_anti, z = np.linalg.eigh(g[:h, :h] - mirrored[:h, :h])
-    v = np.zeros((n, n))
-    v[:hs, :hs] = y * (np.sqrt(0.5) / d)[:, None]
-    v[:h, hs:] = z * np.sqrt(0.5)
+    return ((g[:hs, :hs] + mirrored[:, :hs]) * d * d[:, None],
+            g[:h, :h] - mirrored[:h, :h])
+
+
+def _from_half_basis(sym, anti):
+    """Q diag(sym, anti) for the Q of _half_blocks: eigenvectors of the
+    blocks as eigenvectors of g."""
+    h, hs = len(anti), len(sym)
+    v = np.zeros((h + hs, h + hs))
+    v[:hs, :hs] = np.sqrt(0.5) * sym
+    v[h:hs, :hs] = sym[h:]      # the middle index, if n is odd
+    v[:h, hs:] = np.sqrt(0.5) * anti
     v[hs:, :hs] = v[:h, :hs][::-1]
     v[hs:, hs:] = -v[:h, hs:][::-1]
-    return np.concatenate((w_sym, w_anti)), v
+    return v
+
+
+def _from_half_blocks(sym, anti):
+    """Q diag(sym, anti) Q^T for the Q of _half_blocks, for symmetric
+    blocks: the centrosymmetric matrix whose half blocks they are."""
+    h, hs = len(anti), len(sym)
+    c = np.full(hs, np.sqrt(0.5))
+    c[h:] = 1.0                 # the middle index, if n is odd
+    ms, ma = sym * c * c[:, None], 0.5 * anti
+    top = np.empty((hs, h + hs))
+    top[:, :hs] = ms
+    top[:h, :h] += ma
+    top[:, hs:] = ms[:, :h][:, ::-1]
+    top[:h, hs:] -= ma[:, ::-1]
+    return np.vstack((top, top[:h][::-1, ::-1]))
 
 
 def _fix_signs(vecs):
@@ -102,17 +162,17 @@ def _fix_signs(vecs):
 
 
 def conv_spectrum(img, f, s1, s2, method="gram"):
-    """All s1*s2 convolution eigenvalue/eigenvector pairs of an image.
+    """All s1*s2 convolution eigenvalues of an image, with the matrix their
+    eigenvectors come from.
 
-    method='gram' diagonalizes the Gram matrix, formed by one FFT
-    autocorrelation, in two half-size blocks; it squares the condition
+    method='gram' takes the eigenvalues of the Gram matrix, formed by one
+    FFT autocorrelation, in two half-size blocks; it squares the condition
     number, so it warns (RuntimeWarning) when sigma_min / sigma_max falls
     below GRAM_MIN_RATIO.
-    method='svd' takes the SVD of the triangular factor of a streamed QR of
-    the Toeplitz matrix: the accurate reference, at a cost that grows with
-    pixels times (s1*s2)^2. Each eigenvector's sign is fixed by _fix_signs,
-    so both methods return the same vectors where the eigenvalues are well
-    separated.
+    method='svd' takes the singular values of the triangular factor of a
+    streamed QR of the Toeplitz matrix: the accurate reference, at a cost
+    that grows with pixels times (s1*s2)^2. Both methods return the same
+    eigenvectors where the eigenvalues are well separated.
     """
     if s1 < 1 or s2 < 1:
         raise ValueError("sampling sizes must be >= 1")
@@ -120,12 +180,12 @@ def conv_spectrum(img, f, s1, s2, method="gram"):
     if not np.any(feat):
         raise ValueError("degenerate input: filtered image is identically zero")
     if method == "svd":
-        _, sig, vecs = np.linalg.svd(_toeplitz_r(feat, s1, s2))
+        mat = _toeplitz_r(feat, s1, s2)
+        sig = np.linalg.svd(mat, compute_uv=False)
     elif method == "gram":
-        w, v = _centrosymmetric_eigh(toeplitz_gram(feat, s1, s2))
-        order = np.argsort(w)[::-1]
-        sig = np.sqrt(np.clip(w[order], 0.0, None))
-        vecs = v[:, order].T
+        mat = toeplitz_gram(feat, s1, s2)
+        w = np.concatenate([np.linalg.eigvalsh(b) for b in _half_blocks(mat)])
+        sig = np.sqrt(np.clip(np.sort(w)[::-1], 0.0, None))
         ratio = sig[-1] / sig[0]
         if ratio < GRAM_MIN_RATIO:
             warnings.warn(
@@ -135,5 +195,4 @@ def conv_spectrum(img, f, s1, s2, method="gram"):
                 RuntimeWarning, stacklevel=2)
     else:
         raise ValueError(f"unknown method {method!r}")
-    vecs = _fix_signs(vecs)
-    return ConvSpectrum(s1, s2, sig, vecs.reshape(s1 * s2, s1, s2))
+    return ConvSpectrum(s1, s2, sig, method, mat)

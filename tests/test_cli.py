@@ -368,10 +368,13 @@ def test_validation_exit_code(runner, tmp_path):
     (b"P2\n2 1\n255\n300 -4\n", "pixel values are not integers in 0..255"),
     (b"P2\n1 1\n255\n1.5\n", "pixel values are not integers in 0..255"),
     (b"P5\n1 1\n100\n\xff", "pixel values are not integers in 0..100"),
-    (b"P5\n1 1\n1000\n\x03\xe9", "pixel values are not integers in 0..1000")],
+    (b"P5\n1 1\n1000\n\x03\xe9", "pixel values are not integers in 0..1000"),
+    (b"P5\n1 1\n255\n\x10\x20\x30", "3 pixels, not width x height = 1"),
+    (b"P2\n1 1\n255\n16 32\n", "2 pixels, not width x height = 1")],
     ids=["short-p5-raster", "few-p2-pixels", "truncated-header",
          "p2-above-maxval", "p2-negative", "p2-fraction",
-         "p5-8bit-above-maxval", "p5-16bit-above-maxval"])
+         "p5-8bit-above-maxval", "p5-16bit-above-maxval", "long-p5-raster",
+         "many-p2-pixels"])
 def test_malformed_pgm_is_named(runner, tmp_path, data, problem):
     bad = tmp_path / "bad.pgm"
     bad.write_bytes(data)

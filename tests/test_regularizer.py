@@ -66,20 +66,43 @@ class TestHessian:
     @pytest.mark.parametrize("m1,m2", [(3, 3), (7, 5), (2, 9)])
     def test_matches_kahan_sum(self, m1, m2):
         # the blurred LoG spectrum is ill-conditioned; (7,5) and (2,9) have
-        # m > s on at least one axis
+        # m > s on at least one axis. Method 'svd', whose eigenpairs carry
+        # errors far below the gate; for 'gram' see the next test.
         img = make_test_image("polygons", 40, seed=3)
         b, _ = synth_blur(img, make_kernel("gaussian", 5, {"sigma": 1.0}))
-        spec = conv_spectrum(b, make_log(1.0), 4, 6)
+        spec = conv_spectrum(b, make_log(1.0), 4, 6, method="svd")
         ref = kahan_hessian(spec, m1, m2)
         h = build_hessian(spec, m1, m2).matrix
         assert np.max(np.abs(h - ref)) <= 1e-12 * np.max(np.abs(ref))
 
+    @pytest.mark.parametrize("m1,m2", [(3, 3), (7, 5), (2, 9)])
+    @pytest.mark.parametrize("s1,s2", [(4, 6), (3, 5), (5, 5)])
+    def test_gram_matches_accurate_kahan_sum(self, s1, s2, m1, m2):
+        # the Gram matrix's smallest eigenvalues carry an absolute error of
+        # about eps * sigma_max^2, so H from it is accurate to a relative
+        # eps * (sigma_max / sigma_min)^2 (7.6e-10 at 4 x 6), whether from
+        # eigenpairs or from Cholesky factors; the reference sums the
+        # accurate 'svd' eigenpairs. 3 x 5 and 5 x 5 have a middle index.
+        img = make_test_image("polygons", 40, seed=3)
+        b, _ = synth_blur(img, make_kernel("gaussian", 5, {"sigma": 1.0}))
+        exact = conv_spectrum(b, make_log(1.0), s1, s2, method="svd")
+        ref = kahan_hessian(exact, m1, m2)
+        h = build_hessian(conv_spectrum(b, make_log(1.0), s1, s2,
+                                        method="gram"), m1, m2).matrix
+        tol = np.finfo(float).eps * (exact.sigma_max / exact.sigma_min) ** 2
+        assert np.max(np.abs(h - ref)) <= tol * np.max(np.abs(ref))
+
     def test_clamped_spectrum_matches_kahan_sum(self, spec):
+        # no Gram matrix carries sigmas this small, so the clamped ones
+        # send build_hessian to the eigenvector sum
         sig = spec.sigmas.copy()
         sig[-3:] = 1e-3 * SIGMA_CLAMP_REL * sig[0]
-        clamped = ConvSpectrum(spec.s1, spec.s2, sig, spec.vectors)
+        v = spec.vectors.reshape(len(sig), -1)
+        clamped = ConvSpectrum(spec.s1, spec.s2, sig, "gram",
+                               (v.T * sig ** 2) @ v)
         hess = build_hessian(clamped, 5, 5)
         assert hess.clamp_count == 3
+        assert "vectors" in vars(clamped)
         ref = kahan_hessian(clamped, 5, 5)
         assert np.max(np.abs(hess.matrix - ref)) <= 1e-12 * np.max(np.abs(ref))
 
@@ -122,6 +145,29 @@ class TestHessian:
             h_value(hess, np.ones((2, 2)) / 4)
         with pytest.raises(ValueError):
             build_hessian(spec, 0, 3)
+
+
+@pytest.mark.parametrize("method", ["gram", "svd"])
+def test_further_blur_never_raises_h(method):
+    # (G*K)*kappa_i = G*(K*kappa_i), and Young's inequality gives
+    # ||G*Y||_F <= ||G||_1 ||Y||_F = ||Y||_F for a simplex G: h(G*K) <= h(K)
+    # wherever G*K fits the support, so h favours the widest kernel
+    rng = np.random.default_rng(17)
+    m = 7
+    for kind, seed in (("polygons", 1), ("polygons", 2), ("bars", 0),
+                       ("checker", 0)):
+        img = make_test_image(kind, 40, seed=seed)
+        b, _ = synth_blur(img, make_kernel("gaussian", 5, {"sigma": 1.0}))
+        hess = build_hessian(conv_spectrum(b, make_log(1.0), 11, 11,
+                                           method=method), m, m)
+        for _ in range(10):
+            g = int(rng.integers(2, 4))
+            blur = rng.dirichlet(np.ones(g * g)).reshape(g, g)
+            k = np.zeros((m, m))
+            k[:m - g + 1, :m - g + 1] = rng.dirichlet(
+                np.ones((m - g + 1) ** 2)).reshape(m - g + 1, m - g + 1)
+            wider = conv2d_full(blur, k[:m - g + 1, :m - g + 1])
+            assert h_value(hess, wider) <= h_value(hess, k) * (1 + 1e-9)
 
 
 class TestNecessaryCondition:

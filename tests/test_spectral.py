@@ -1,3 +1,4 @@
+import contextlib
 import inspect
 import tracemalloc
 import warnings
@@ -9,7 +10,8 @@ from click.testing import CliRunner
 from convdeblur import cli
 from convdeblur.blind import DeblurConfig, estimate_kernel
 from convdeblur.features import DELTA, apply_filter, make_log
-from convdeblur.spectral import conv_spectrum
+from convdeblur.regularizer import SIGMA_CLAMP_REL, build_hessian
+from convdeblur.spectral import GRAM_MIN_RATIO, conv_spectrum
 from convdeblur.synth import make_kernel, make_test_image, synth_blur
 from convdeblur.tensorops import (conv2d_full, lag_gram, toeplitz,
                                   toeplitz_gram, vectorize)
@@ -171,6 +173,15 @@ class TestCentrosymmetricSplit:
             assert np.allclose(np.outer(got[i], got[i]), np.outer(v[i], v[i]),
                                rtol=0, atol=1e-9)
 
+    def test_inverse_matches_inv(self, image, gram, s1, s2):
+        # the blocks' inverses mapped back, odd s1*s2 (middle index) too;
+        # both sides carry a relative error of about eps * sigma ratio^2
+        spec = conv_spectrum(image, make_log(1.0), s1, s2, method="gram")
+        p = spec.gram_inverse(SIGMA_CLAMP_REL * spec.sigma_max)
+        ref = np.linalg.inv(gram)
+        tol = np.finfo(float).eps * (spec.sigma_max / spec.sigma_min) ** 2
+        assert np.max(np.abs(p - ref)) <= tol * np.max(np.abs(ref))
+
     def test_vectors_are_symmetric_or_antisymmetric(self, image, s1, s2):
         spec = conv_spectrum(image, make_log(1.0), s1, s2, method="gram")
         for vec in spec.vectors:
@@ -244,3 +255,27 @@ def test_gram_and_svd_kernels_agree(smooth_blur):
     k_gram = estimate_kernel(gram, 9, 9)[0]
     k_svd = estimate_kernel(svd, 9, 9)[0]
     assert np.linalg.norm(k_gram - k_svd) <= 1e-4 * np.linalg.norm(k_svd)
+
+
+@pytest.mark.parametrize("method", ["gram", "svd"])
+def test_hessian_floors_hold_where_gram_warns(smooth_blur, method):
+    # G <= sigma_max^2 I, so G^-1 >= I / sigma_max^2 (an LU inverse of G
+    # misses this by half here), and criterion 3's floor follows for H
+    with (pytest.warns(RuntimeWarning, match="is below") if method == "gram"
+          else contextlib.nullcontext()):
+        spec = conv_spectrum(smooth_blur[1], make_log(1.0), 14, 14,
+                             method=method)
+    assert spec.sigma_min / spec.sigma_max < GRAM_MIN_RATIO
+    p = spec.gram_inverse(SIGMA_CLAMP_REL * spec.sigma_max)
+    assert np.linalg.eigvalsh(p)[0] * spec.sigma_max ** 2 >= 0.9
+    lam_min = np.linalg.eigvalsh(build_hessian(spec, 9, 9).matrix)[0]
+    assert lam_min >= 14 * 14 / spec.sigma_max ** 2 - 1e-6
+
+
+@pytest.mark.parametrize("method", ["gram", "svd"])
+def test_kernel_path_computes_no_eigenvectors(image, method):
+    spec = conv_spectrum(image, make_log(1.0), 4, 4, method=method)
+    estimate_kernel(spec, 3, 3)
+    assert "vectors" not in vars(spec)
+    assert spec.vectors.shape == (16, 4, 4)
+    assert "vectors" in vars(spec)
