@@ -120,8 +120,9 @@ def subcommand(group, name, *options):
     The command takes the given options (listed in --help in this order)
     plus --config and -o. It resolves and creates the output root, and calls
     the body with every parameter as a keyword, the output root as `out`.
-    ValueError and OSError exit with EXIT_VALIDATION. A RuntimeWarning
-    prints as one `warning: <message>` line on stderr."""
+    ValueError, OSError and MemoryError (an array too large to allocate)
+    exit with EXIT_VALIDATION. A RuntimeWarning prints as one
+    `warning: <message>` line on stderr."""
     def register(body):
         def run(out, **params):
             try:
@@ -131,7 +132,7 @@ def subcommand(group, name, *options):
                     warnings.showwarning = _one_line_warnings(
                         warnings.showwarning)
                     body(out=out, **params)
-            except (ValueError, OSError) as exc:
+            except (ValueError, OSError, MemoryError) as exc:
                 click.echo(f"error: {exc}", err=True)
                 sys.exit(EXIT_VALIDATION)
 
@@ -195,7 +196,8 @@ def main():
 @subcommand(main, "spectrum", IMAGE, *FEATURE,
             click.option("--sample-size", type=int, default=18, help="s1 = s2"),
             METHOD,
-            click.option("--save-eigenvectors", type=int, default=0,
+            click.option("--save-eigenvectors", type=click.IntRange(min=0),
+                         default=0,
                          help="save the first N eigenvectors as images"))
 def spectrum(image, feature, log_sigma, sample_size, method,
              save_eigenvectors, out):

@@ -78,7 +78,7 @@ class TvResult:
     image: np.ndarray
     iterations: int
     converged: bool
-    state: AdmmState = None   # None for the lam = 0 inverse filter
+    state: AdmmState
 
 
 def total_variation(img):
@@ -133,12 +133,6 @@ def tv_deconv(b, k, cfg=None, assume_full=True, state=None):
     iterations). The result carries the solver's split and dual variables;
     passing them back as `state` resumes the iteration where it stopped.
     Without a state it starts from Observation.start, b's central window.
-
-    With lam = 0, full-convolution data and cfg.tol > 0 the inverse filter
-    on the padded grid is returned directly, without a state. It minimizes
-    the data term only for noise-free data; with noise the least-squares
-    minimizer is another image, whose data term can be under half of the
-    inverse filter's.
     """
     k = validate_kernel(k)
     cfg = cfg or TvSolverConfig()
@@ -148,12 +142,6 @@ def tv_deconv(b, k, cfg=None, assume_full=True, state=None):
     # the FFT grid of every grid variable (see the module docstring)
     grid = tuple(fast_len(n) for n in obs.grid)
     fk = rfft2(k, grid)   # k zero-embedded at the grid's top left
-
-    if cfg.lam == 0.0 and assume_full and cfg.tol > 0:
-        # no regularizer: the inverse filter (see the docstring)
-        img = irfft2(np.conj(fk) * rfft2(b, grid)
-                     / np.maximum(np.abs(fk) ** 2, 1e-30), grid)
-        return TvResult(img[:n1, :n2].copy(), 1, True)
 
     # Splits: v = K*y carries the data term under the observation mask,
     # y = pad(I) makes that convolution exact (the kernel never wraps onto

@@ -272,9 +272,7 @@ class TestBlindDeblur:
         assert res.converged is (iterations < max_outer and rise_at is None)
 
     def test_zero_lam_runs_the_image_step(self):
-        # at lam = 0 the image step is still the ADMM, with carried state:
-        # the inverse filter of a lone first step ended this run after one
-        # outer iteration
+        # at lam = 0 the image step is still the ADMM, with carried state
         img = make_test_image("polygons", 48, seed=0)
         b, _ = synth_blur(img, make_kernel("gaussian", 5, {"sigma": 1.0}))
         res = blind_deblur(b, DeblurConfig(m1=5, m2=5, alpha=0.01, lam=0.0,

@@ -395,6 +395,21 @@ def test_png_without_pillow_is_a_validation_error(runner, tmp_path,
     assert "unsupported image format '.png' (install Pillow" in r.stderr
 
 
+def test_array_too_large_is_a_validation_error(runner, blurry_pgm, tmp_path,
+                                               monkeypatch):
+    # numpy's allocation failure is a MemoryError; the spectrum raises one
+    # here in place of allocating, so no memory is spent
+    def conv_spectrum(*args, **kwargs):
+        raise MemoryError("Unable to allocate 1.1 TiB for an array")
+
+    monkeypatch.setattr(cli, "conv_spectrum", conv_spectrum)
+    r = runner.invoke(main, ["spectrum", blurry_pgm, "--sample-size", "110",
+                             "-o", str(tmp_path)])
+    assert r.exit_code == 2, r.output
+    assert r.stderr.splitlines() == [
+        "error: Unable to allocate 1.1 TiB for an array"]
+
+
 def test_synth_image_file_is_the_scene(runner, tmp_path):
     scene = make_test_image("bars", 24, seed=4)
     save_image(tmp_path / "scene.pgm", scene)
@@ -537,13 +552,16 @@ def test_sweep_alphas_from_config(runner, blurry_pgm, tmp_path):
      "alpha and lam must be nonnegative and finite"),
     (["deblur", "--kernel-size", "5", "--alpha", "0.1", "--lambda", "inf"],
      "alpha and lam must be nonnegative and finite"),
+    (["spectrum", "--save-eigenvectors", "-3"], "-3 is not in the range x>=0"),
 ], ids=["deblur-max-iters-0", "deconv-negative-tol", "deconv-nan-tol",
-        "deconv-nan-lambda", "deblur-nan-alpha", "deblur-inf-lambda"])
+        "deconv-nan-lambda", "deblur-nan-alpha", "deblur-inf-lambda",
+        "spectrum-negative-eigenvectors"])
 def test_values_that_do_nothing_are_validation_errors(runner, blurry_pgm,
                                                       tmp_path, command,
                                                       message):
     # zero outer iterations and a negative tolerance would run and report
-    # non-convergence (exit 3) rather than reject the value; a NaN or
+    # non-convergence (exit 3) rather than reject the value, a negative
+    # eigenvector count would save none and exit 0; a NaN or
     # infinite weight or tolerance is rejected where it is set
     kpath = tmp_path / "k.txt"
     save_kernel_txt(kpath, make_kernel("gaussian", 5, {"sigma": 1.0}))

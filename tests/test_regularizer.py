@@ -106,6 +106,29 @@ class TestHessian:
         ref = kahan_hessian(clamped, 5, 5)
         assert np.max(np.abs(hess.matrix - ref)) <= 1e-12 * np.max(np.abs(ref))
 
+    @pytest.mark.parametrize("method", ["svd", "gram"])
+    def test_smooth_scene_reaches_the_eigenvector_sum(self, method):
+        # a smooth bump under a wide Gaussian blur: by 'svd' the LoG
+        # spectrum at s = 14 has sigmas below the clamp; by 'gram' the raw
+        # spectrum at s = 6 has none, but a half block fails the Cholesky
+        # test (sigma ratio 1.4e-9, so 'gram' warns). Both send
+        # build_hessian to the eigenvector sum.
+        y, x = np.mgrid[0:48, 0:48] / 47
+        bump = np.exp(-((x - 0.5) ** 2 + (y - 0.5) ** 2) / 0.05)
+        b = conv2d_full(bump, make_kernel("gaussian", 15, {"sigma": 4.0}))
+        if method == "svd":
+            spec = conv_spectrum(b, make_log(3.0), 14, 14, method="svd")
+        else:
+            with pytest.warns(RuntimeWarning, match="sigma_min / sigma_max"):
+                spec = conv_spectrum(b, DELTA, 6, 6, method="gram")
+            assert spec.gram_inverse(SIGMA_CLAMP_REL * spec.sigma_max) is None
+        hess = build_hessian(spec, 5, 5)
+        assert (hess.clamp_count > 0) is (method == "svd")
+        assert "vectors" in vars(spec)
+        assert np.all(np.isfinite(hess.matrix))
+        ref = kahan_hessian(spec, 5, 5)
+        assert np.max(np.abs(hess.matrix - ref)) <= 1e-12 * np.max(np.abs(ref))
+
     def test_quadratic_form_matches_defining_sum(self, spec):
         hess = build_hessian(spec, 3, 3)
         rng = np.random.default_rng(0)

@@ -7,7 +7,8 @@ from scipy import fft as sfft
 from convdeblur import tv
 from convdeblur.metrics import psnr
 from convdeblur.synth import make_kernel, make_test_image
-from convdeblur.tensorops import central_window, conv2d_full, fast_len
+from convdeblur.tensorops import (central_window, conv2d_full, fast_len,
+                                  toeplitz)
 from convdeblur.tv import TvSolverConfig, total_variation, tv_deconv
 
 
@@ -154,26 +155,37 @@ class TestHelpers:
 
 
 class TestTvDeconv:
-    def test_exact_inverse_without_tv(self):
-        # lam=0 and a full-convolution observation: restoration is exact,
-        # also on a grid padded past the full convolution (35 -> 36)
-        for size in (32, 31):
-            img = make_test_image("polygons", size, seed=1)
-            k = make_kernel("gaussian", 5, {"sigma": 1.2})
-            b = conv2d_full(img, k)
-            res = tv_deconv(b, k, TvSolverConfig(lam=0.0, max_inner=50))
-            assert res.image.shape == img.shape
-            assert np.max(np.abs(res.image - img)) < 1e-8
+    def test_quantized_data_reaches_least_squares_without_tv(self):
+        # lam = 0 on B rounded to 8 bits, as every image file holds it: the
+        # ADMM's data term is within 10% of the least-squares minimum over
+        # the explicit operator (a periodic inverse filter misfits it 43x)
+        img = make_test_image("polygons", 24, seed=1)
+        k = make_kernel("motion-line", 5, {"angle": 30.0, "length": 4})
+        b = np.round(np.clip(conv2d_full(img, k), 0, 1) * 255) / 255
+        res = tv_deconv(b, k, TvSolverConfig(lam=0.0))
+        assert res.converged
+        op = toeplitz(k, 24, 24)
+        best = np.linalg.lstsq(op, b.ravel(), rcond=None)[0]
+        floor = np.sum((op @ best - b.ravel()) ** 2)
+        misfit = np.sum((conv2d_full(res.image, k) - b) ** 2)
+        assert misfit <= 1.1 * floor
 
     def test_zero_tol_runs_admm_without_tv(self):
-        # tol = 0 runs all max_inner iterations and returns a state to
-        # resume from, also at lam = 0, where the inverse filter would not
+        # tol = 0 runs all max_inner iterations; with or without a tolerance
+        # every call at lam = 0 returns a state to resume from, on both data
+        # models
         img = make_test_image("polygons", 32, seed=1)
         k = make_kernel("gaussian", 5, {"sigma": 1.2})
-        res = tv_deconv(conv2d_full(img, k), k,
-                        TvSolverConfig(lam=0.0, max_inner=7, tol=0.0))
-        assert res.iterations == 7
-        assert res.state is not None
+        full = conv2d_full(img, k)
+        for b, assume_full in ((full, True), (full[2:34, 2:34], False)):
+            res = tv_deconv(b, k, TvSolverConfig(lam=0.0, max_inner=7,
+                                                 tol=0.0),
+                            assume_full=assume_full)
+            assert res.iterations == 7
+            assert isinstance(res.state, tv.AdmmState)
+            res = tv_deconv(b, k, TvSolverConfig(lam=0.0, max_inner=7),
+                            assume_full=assume_full)
+            assert isinstance(res.state, tv.AdmmState)
 
     def test_impulse_kernel_identity(self):
         img = make_test_image("bars", 24, seed=0)
