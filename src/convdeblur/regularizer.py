@@ -50,10 +50,12 @@ def build_hessian(spec, m1, m2):
     if p is None:
         v = spec.vectors.reshape(n, n)
         p = (v.T / np.maximum(spec.sigmas, floor) ** 2) @ v
-    # lag sums: entry (d1, d2) adds P[(a,b),(a',b')] over a-a'=d1, b-b'=d2
+    # lag sums: entry (d1, d2) adds P[(a,b),(a',b')] over a-a'=d1, b-b'=d2;
+    # its flat index (d1+s1-1)(2*s2-1) + d2+s2-1 is the difference of the
+    # pixels' offsets a*(2*s2-1) + b, shifted by the centre's
     a1, a2 = np.divmod(np.arange(n), s2)
-    lag = ((a1[:, None] - a1[None, :] + s1 - 1) * (2 * s2 - 1)
-           + a2[:, None] - a2[None, :] + s2 - 1)
+    off = a1 * (2 * s2 - 1) + a2
+    lag = np.subtract.outer(off + (s1 - 1) * (2 * s2 - 1) + s2 - 1, off)
     lags = np.bincount(lag.ravel(), weights=p.ravel(),
                        minlength=(2 * s1 - 1) * (2 * s2 - 1))
     h = lag_gram(lags.reshape(2 * s1 - 1, 2 * s2 - 1), m1, m2)

@@ -17,6 +17,8 @@ grows with pixels times probe size (tests check it against `conv2d_full`).
 `rfft2`, `irfft2` and `fast_len` match scipy.fft bit for bit, without scipy.
 """
 
+import functools
+
 import numpy as np
 
 # Toeplitz rows per block of toeplitz_row_blocks
@@ -96,8 +98,11 @@ def conv2d_full(x, y):
     return out
 
 
+@functools.cache
 def fast_len(n):
-    """Smallest 2^a 3^b 5^c >= n, the sizes pocketfft transforms fastest."""
+    """Smallest 2^a 3^b 5^c >= n, the sizes pocketfft transforms fastest.
+    Memoized: a blind run asks for the same few lengths at every outer
+    iteration."""
     best, p5 = 1 << (n - 1).bit_length(), 1
     while p5 < best:
         p35 = p5
@@ -178,24 +183,28 @@ def toeplitz_row_blocks(x, k1, k2, mask=None, block_rows=BLOCK_ROWS):
 
 def lag_gram(lags, k1, k2):
     """Symmetric k1*k2 x k1*k2 matrix with entry ((u,v),(u',v')) equal to
-    lags at lag (u-u', v-v').
+    lags at lag (u-u', v-v'), averaged with lags at the opposite lag.
 
     lags has odd shape (2*r1-1, 2*r2-1) with lag (0,0) at its centre; lags
-    past its support count as zero.
+    past its support count as zero. The matrix is a fresh array, copied
+    from a strided view of the symmetrized table of lags |d| < k.
     """
     if k1 < 1 or k2 < 1:
         raise ValueError("probe sizes must be >= 1")
     r1, r2 = (lags.shape[0] + 1) // 2, (lags.shape[1] + 1) // 2
-    p1, p2 = max(0, k1 - r1), max(0, k2 - r2)
-    if p1 or p2:
-        lags = np.pad(lags, ((p1, p1), (p2, p2)))
-    c1, c2 = r1 - 1 + p1, r2 - 1 + p2
-    u = np.arange(k1)
-    v = np.arange(k2)
-    lag1 = u[:, None, None, None] - u[None, None, :, None]
-    lag2 = v[None, :, None, None] - v[None, None, None, :]
-    g = lags[c1 + lag1, c2 + lag2].reshape(k1 * k2, k1 * k2)
-    return 0.5 * (g + g.T)
+    d1, d2 = min(r1, k1), min(r2, k2)
+    t = np.zeros((2 * k1 - 1, 2 * k2 - 1))
+    t[k1 - d1:k1 + d1 - 1, k2 - d2:k2 + d2 - 1] = \
+        lags[r1 - d1:r1 + d1 - 1, r2 - d2:r2 + d2 - 1]
+    t = 0.5 * (t + t[::-1, ::-1])
+    # entry (u, v, u', v') of the view is t at (k1-1+u-u', k2-1+v-v'): the
+    # window of t at (u, v), reversed. Built directly: sliding_window_view
+    # leaves about 1 KB per call in cycles for the garbage collector.
+    s1, s2 = t.strides
+    view = np.ndarray((k1, k2, k1, k2), buffer=t,
+                      offset=(k1 - 1) * s1 + (k2 - 1) * s2,
+                      strides=(s1, s2, -s1, -s2))
+    return view.copy().reshape(k1 * k2, k1 * k2)
 
 
 def toeplitz_gram(x, k1, k2):

@@ -89,25 +89,32 @@ def total_variation(img):
 
 def _grad(x, out=None):
     """Horizontal and vertical periodic forward differences of x, stacked
-    into out (shape (2,) + x.shape)."""
+    into out (shape (2,) + x.shape; ValueError unless it has a flat view).
+
+    Each difference is one pass over the raveled arrays; the horizontal
+    one then rewrites its wrapped last column in one strided pass."""
     if out is None:
         out = np.empty((2,) + x.shape)
-    np.subtract(x[:, 1:], x[:, :-1], out=out[0, :, :-1])
-    np.subtract(x[:, :1], x[:, -1:], out=out[0, :, -1:])
-    np.subtract(x[1:], x[:-1], out=out[1, :-1])
-    np.subtract(x[:1], x[-1:], out=out[1, -1:])
+    w = x.shape[1]
+    f, (o0, o1) = x.ravel(), out.reshape(2, -1, copy=False)
+    np.subtract(f[1:], f[:-1], out=o0[:-1])
+    np.subtract(f[::w], f[w - 1::w], out=o0[w - 1::w])
+    np.subtract(f[w:], f[:-w], out=o1[:-w])
+    np.subtract(f[:w], f[-w:], out=o1[-w:])
     return out
 
 
 def _grad_adjoint(g, out):
-    """Adjoint of _grad, written into out (shape g.shape[1:])."""
-    g0, g1 = g
-    np.subtract(g0[:, :-1], g0[:, 1:], out=out[:, 1:])
-    np.subtract(g0[:, -1:], g0[:, :1], out=out[:, :1])
-    out[1:] += g1[:-1]
-    out[1:] -= g1[1:]
-    out[:1] += g1[-1:]
-    out[:1] -= g1[:1]
+    """Adjoint of _grad, written into out (shape g.shape[1:], with a flat
+    view) by passes over the raveled arrays, as in _grad."""
+    w = out.shape[1]
+    (f0, f1), o = g.reshape(2, -1), out.reshape(-1, copy=False)
+    np.subtract(f0[:-1], f0[1:], out=o[1:])
+    np.subtract(f0[w - 1::w], f0[::w], out=o[::w])
+    o[w:] += f1[:-w]
+    o[w:] -= f1[w:]
+    o[:w] += f1[-w:]
+    o[:w] -= f1[:w]
     return out
 
 

@@ -108,6 +108,20 @@ class TestKstep:
             tracemalloc.stop()
         assert peak < 16e6
 
+    @pytest.mark.parametrize("ks", [(1, 5), (5, 1)])
+    def test_cropped_one_wide_kernel(self, case, ks):
+        # a 1-wide kernel's Gram matrix is updated in place by the frame's
+        # rows like any other; with the sharp image the data pin K
+        img = case[0]
+        k0 = np.random.default_rng(5).random(ks)
+        k0 /= k0.sum()
+        grid = (img.shape[0] + ks[0] - 1, img.shape[1] + ks[1] - 1)
+        b = conv2d_full(img, k0)[central_window(grid, img.shape)]
+        eye = RegularizerHessian(*ks, np.eye(5))
+        k, sol = kstep(Observation(b, ks, False), img, eye, alpha=0.0)
+        assert sol.converged
+        assert np.linalg.norm(k - k0) < 1e-5
+
     def test_cropped_mode_identity_fit(self, case):
         # with a same-size observation equal to the latent, the impulse fits
         img, _, _, _, hess = case

@@ -129,6 +129,27 @@ class TestHessian:
         ref = kahan_hessian(spec, 5, 5)
         assert np.max(np.abs(hess.matrix - ref)) <= 1e-12 * np.max(np.abs(ref))
 
+    @pytest.mark.parametrize("method", ["svd", "gram"])
+    def test_lag_sums_match_a_double_loop(self, method):
+        # with m = s every lag |d| < s is an entry of H; the loop adds P in
+        # the row-major order the bincount of build_hessian adds it in
+        s1, s2 = 3, 4
+        img = np.random.default_rng(12).uniform(size=(14, 14))
+        spec = conv_spectrum(img, DELTA, s1, s2, method=method)
+        p = spec.gram_inverse(SIGMA_CLAMP_REL * spec.sigma_max)
+        sums = np.zeros((2 * s1 - 1, 2 * s2 - 1))
+        for i in range(s1 * s2):
+            for j in range(s1 * s2):
+                sums[i // s2 - j // s2 + s1 - 1,
+                     i % s2 - j % s2 + s2 - 1] += p[i, j]
+        ref = np.empty((s1 * s2, s1 * s2))
+        for i in range(s1 * s2):
+            for j in range(s1 * s2):
+                d1, d2 = i // s2 - j // s2, i % s2 - j % s2
+                ref[i, j] = 0.5 * (sums[s1 - 1 + d1, s2 - 1 + d2]
+                                   + sums[s1 - 1 - d1, s2 - 1 - d2])
+        assert np.array_equal(build_hessian(spec, s1, s2).matrix, ref)
+
     def test_quadratic_form_matches_defining_sum(self, spec):
         hess = build_hessian(spec, 3, 3)
         rng = np.random.default_rng(0)

@@ -11,7 +11,8 @@ from convdeblur import cli
 from convdeblur.blind import DeblurConfig, estimate_kernel
 from convdeblur.features import DELTA, apply_filter, make_log
 from convdeblur.regularizer import SIGMA_CLAMP_REL, build_hessian
-from convdeblur.spectral import GRAM_MIN_RATIO, conv_spectrum
+from convdeblur.spectral import (GRAM_MIN_RATIO, _half_blocks,
+                                 _triangular_inverse, conv_spectrum)
 from convdeblur.synth import make_kernel, make_test_image, synth_blur
 from convdeblur.tensorops import (conv2d_full, lag_gram, toeplitz,
                                   toeplitz_gram, vectorize)
@@ -270,6 +271,45 @@ def test_hessian_floors_hold_where_gram_warns(smooth_blur, method):
     assert np.linalg.eigvalsh(p)[0] * spec.sigma_max ** 2 >= 0.9
     lam_min = np.linalg.eigvalsh(build_hessian(spec, 9, 9).matrix)[0]
     assert lam_min >= 14 * 14 / spec.sigma_max ** 2 - 1e-6
+
+
+def assert_triangular_inverse(u):
+    """W = _triangular_inverse(U) is upper triangular, below the diagonal
+    exactly, and ||U W - I||_2 <= n eps kappa(U)."""
+    n = len(u)
+    w = _triangular_inverse(u)
+    assert np.all(np.tril(w, -1) == 0.0)
+    res = np.linalg.norm(u @ w - np.eye(n), 2)
+    assert res <= n * np.finfo(float).eps * np.linalg.cond(u)
+
+
+@pytest.mark.parametrize("n", [1, 15, 16, 17, 33, 98, 196])
+def test_triangular_inverse_by_halves(n):
+    # leaves only (n <= 16), one split with an odd half, and deeper splits
+    rng = np.random.default_rng(n)
+    assert_triangular_inverse(np.linalg.qr(rng.standard_normal((n, n)),
+                                           mode="r"))
+
+
+@pytest.mark.parametrize("method", ["gram", "svd"])
+def test_triangular_inverse_of_ill_conditioned_factors(smooth_blur, method):
+    # the factors gram_inverse inverts where 'gram' warns, kappa(U) of
+    # 1.5e7-2.9e7: W W^T agrees with LAPACK's to eps kappa(U) (both sides
+    # err by less; 2e-11 relative here at most)
+    with (pytest.warns(RuntimeWarning, match="is below") if method == "gram"
+          else contextlib.nullcontext()):
+        spec = conv_spectrum(smooth_blur[1], make_log(1.0), 14, 14,
+                             method=method)
+    factors = ([spec.matrix] if method == "svd" else
+               [np.linalg.cholesky(b, upper=True)
+                for b in _half_blocks(spec.matrix)])
+    for u in factors:
+        assert np.linalg.cond(u) > 1e7
+        assert_triangular_inverse(u)
+        w, ref = _triangular_inverse(u), np.linalg.inv(u)
+        tol = np.finfo(float).eps * np.linalg.cond(u)
+        assert np.max(np.abs(w @ w.T - ref @ ref.T)) <= \
+            tol * np.max(np.abs(ref @ ref.T))
 
 
 @pytest.mark.parametrize("method", ["gram", "svd"])

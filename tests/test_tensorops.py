@@ -8,9 +8,10 @@ from scipy import fft as sfft
 
 from convdeblur.tensorops import (Observation, as_image, central_window,
                                   conv2d_full, devectorize, fast_len, irfft2,
-                                  rfft2, toeplitz, toeplitz_apply_adjoint,
-                                  toeplitz_gram, toeplitz_row_blocks,
-                                  validate_kernel, vectorize)
+                                  lag_gram, rfft2, toeplitz,
+                                  toeplitz_apply_adjoint, toeplitz_gram,
+                                  toeplitz_row_blocks, validate_kernel,
+                                  vectorize)
 
 
 def brute_conv_full(x, y):
@@ -193,6 +194,49 @@ class TestToeplitz:
         a = toeplitz(x, 3, 3)
         assert np.allclose(toeplitz_apply_adjoint(x, b, 3, 3),
                            a.T @ b.ravel(), atol=1e-12)
+
+
+def gather_lag_gram(lags, k1, k2):
+    """Reference: lag_gram by four broadcast lag-index arrays, one gather
+    of (k1*k2)^2 entries and the average with the transpose."""
+    r1, r2 = (lags.shape[0] + 1) // 2, (lags.shape[1] + 1) // 2
+    p1, p2 = max(0, k1 - r1), max(0, k2 - r2)
+    if p1 or p2:
+        lags = np.pad(lags, ((p1, p1), (p2, p2)))
+    c1, c2 = r1 - 1 + p1, r2 - 1 + p2
+    u = np.arange(k1)
+    v = np.arange(k2)
+    lag1 = u[:, None, None, None] - u[None, None, :, None]
+    lag2 = v[None, :, None, None] - v[None, None, None, :]
+    g = lags[c1 + lag1, c2 + lag2].reshape(k1 * k2, k1 * k2)
+    return 0.5 * (g + g.T)
+
+
+LAG_GRAM_PROBES = [(1, 1), (1, 4), (3, 1), (9, 9), (13, 13), (14, 14)]
+
+
+class TestLagGram:
+    # lag tables narrower than the probe along both axes (zero-padded),
+    # along one, as wide, and wider
+    @pytest.mark.parametrize("k1, k2", LAG_GRAM_PROBES)
+    @pytest.mark.parametrize("dr1, dr2", [(-2, -3), (-1, 2), (0, 0), (3, 1)])
+    def test_matches_the_index_gather(self, k1, k2, dr1, dr2):
+        r1, r2 = max(1, k1 + dr1), max(1, k2 + dr2)
+        lags = np.random.default_rng(k1 * 31 + k2).standard_normal(
+            (2 * r1 - 1, 2 * r2 - 1))
+        assert np.array_equal(lag_gram(lags, k1, k2),
+                              gather_lag_gram(lags, k1, k2))
+
+    @pytest.mark.parametrize("k1, k2", LAG_GRAM_PROBES)
+    def test_returns_a_fresh_writable_array(self, k1, k2):
+        # callers update it in place, as a cropped kstep does
+        lags = np.ones((5, 5))
+        g = lag_gram(lags, k1, k2)
+        assert g.flags.writeable and g.flags.c_contiguous
+        assert not np.shares_memory(g, lags)
+        g -= 1.0
+        assert np.array_equal(lags, np.ones((5, 5)))
+        assert not np.shares_memory(g, lag_gram(lags, k1, k2))
 
 
 # (image shape, probe shape): a probe larger than the image, as a 9 x 9

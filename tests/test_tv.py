@@ -21,6 +21,29 @@ def roll_grad_adjoint(g):
     return (np.roll(g[0], 1, axis=1) - g[0]) + (np.roll(g[1], 1, axis=0) - g[1])
 
 
+def slice_grad(x):
+    """Reference: periodic forward differences by 2-D slices."""
+    out = np.empty((2,) + x.shape)
+    np.subtract(x[:, 1:], x[:, :-1], out=out[0, :, :-1])
+    np.subtract(x[:, :1], x[:, -1:], out=out[0, :, -1:])
+    np.subtract(x[1:], x[:-1], out=out[1, :-1])
+    np.subtract(x[:1], x[-1:], out=out[1, -1:])
+    return out
+
+
+def slice_grad_adjoint(g):
+    """Reference: the adjoint of slice_grad by 2-D slices."""
+    g0, g1 = g
+    out = np.empty(g0.shape)
+    np.subtract(g0[:, :-1], g0[:, 1:], out=out[:, 1:])
+    np.subtract(g0[:, -1:], g0[:, :1], out=out[:, :1])
+    out[1:] += g1[:-1]
+    out[1:] -= g1[1:]
+    out[:1] += g1[-1:]
+    out[:1] -= g1[:1]
+    return out
+
+
 def fast_grid(b, k, assume_full):
     """b's full-convolution grid padded to 5-smooth sizes, by scipy."""
     full = b.shape if assume_full else np.add(b.shape, k.shape) - 1
@@ -131,11 +154,27 @@ class TestHelpers:
             assert total_variation(b) <= total_variation(padded) + 1e-9
 
     def test_gradient_matches_roll(self):
-        x = np.random.default_rng(2).uniform(size=(7, 5))
-        assert np.array_equal(tv._grad(x), roll_grad(x))
-        g = np.random.default_rng(3).uniform(size=(2, 7, 5))
-        assert np.allclose(tv._grad_adjoint(g, np.empty((7, 5))),
-                           roll_grad_adjoint(g), rtol=0, atol=1e-15)
+        # bit for bit the 2-D slice formulas; a strided x is read as well
+        for shape in ((1, 1), (1, 5), (7, 1), (2, 2), (7, 5)):
+            x = np.random.default_rng(2).uniform(size=shape)
+            assert np.array_equal(tv._grad(x), roll_grad(x))
+            assert np.array_equal(tv._grad(x), slice_grad(x))
+            wide = np.random.default_rng(4).uniform(size=(shape[0],
+                                                          2 * shape[1]))
+            assert np.array_equal(tv._grad(wide[:, ::2]),
+                                  slice_grad(wide[:, ::2]))
+            g = np.random.default_rng(3).uniform(size=(2,) + shape)
+            adj = tv._grad_adjoint(g, np.empty(shape))
+            assert np.allclose(adj, roll_grad_adjoint(g), rtol=0, atol=1e-15)
+            assert np.array_equal(adj, slice_grad_adjoint(g))
+
+    def test_gradient_output_without_a_flat_view_rejected(self):
+        # the differences are written through a flat view of out, which
+        # the left 4 columns of a 5 column array do not have
+        with pytest.raises(ValueError):
+            tv._grad(np.ones((4, 4)), np.empty((2, 4, 5))[:, :, :4])
+        with pytest.raises(ValueError):
+            tv._grad_adjoint(np.ones((2, 4, 4)), np.empty((4, 5))[:, :4])
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
